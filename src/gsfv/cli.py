@@ -207,10 +207,16 @@ def _fmt_t(t: float) -> str:
     return f"{t:g}"
 
 
-def _params_from(args, cfg: dict) -> GrayScottParams:
+def _diffusivities(args, cfg: dict) -> tuple[float, float]:
+    """d_u and d_v; d_v defaults to d_u / 2."""
     d_u = float(_opt(args, cfg, "d_u", 1.6e-5))
     d_v_opt = _opt(args, cfg, "d_v", None)
     d_v = float(d_v_opt) if d_v_opt is not None else d_u / 2.0
+    return d_u, d_v
+
+
+def _params_from(args, cfg: dict) -> GrayScottParams:
+    d_u, d_v = _diffusivities(args, cfg)
     F = float(_opt(args, cfg, "F", 0.037))
     k = float(_opt(args, cfg, "k", 0.060))
     return GrayScottParams(d_u, d_v, F, k)
@@ -235,9 +241,7 @@ def _cmd_simulate(args) -> int:
     nx = int(_opt(args, cfg, "nx", 128))
     dt = float(_opt(args, cfg, "dt", 1.0))
     t_end = float(_opt(args, cfg, "t_end", 2000.0))
-    d_u = float(_opt(args, cfg, "d_u", 1.6e-5))
-    d_v_opt = _opt(args, cfg, "d_v", None)
-    d_v = float(d_v_opt) if d_v_opt is not None else d_u / 2.0
+    d_u, d_v = _diffusivities(args, cfg)
     snap_opt = _opt(args, cfg, "snapshots", None)
     snap_times = _floats(snap_opt) if snap_opt is not None else None
     with_v = bool(args.with_v or cfg.get("with_v", False))
@@ -289,76 +293,98 @@ def _table_exit(table: ErrorTable, path: str) -> int:
     return 0
 
 
-def _cmd_mms_convergence(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
+def _read_convergence(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     sizes = _ints(_opt(args, cfg, "sizes", "16,32,64,128"))
-    T = float(_opt(args, cfg, "t_end", 1.0))
-    samples = _sample_times(args, cfg)
-    out = _opt(args, cfg, "out", None)
-    if out is None:
-        raise ValueError("mms convergence needs --out")
-    _ensure_out_dir(out)
-    table = convergence_study(case, params, sizes, T=T, sample_times=samples)
+
+    def study(T, samples):
+        return convergence_study(case, params, sizes, T=T,
+                                 sample_times=samples)
+
     fname = f"convergence_{case.label.split('_')[0]}.csv"
-    path = os.path.join(out, fname)
-    write_error_table(table, path)
-    man = _manifest("mms convergence",
-                    {"case": case.label, "sizes": sizes, "T": T,
-                     "params": asdict(params), **table.meta},
-                    None, [fname])
-    man.write(out)
-    return _table_exit(table, path)
+    return study, fname, {"case": case.label, "sizes": sizes}
 
 
-def _cmd_mms_stability(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
+def _read_stability(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     nx = int(_opt(args, cfg, "nx", 128))
     ks = _floats(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
-    T = float(_opt(args, cfg, "t_end", 1.0))
-    samples = _sample_times(args, cfg)
-    out = _opt(args, cfg, "out", None)
-    if out is None:
-        raise ValueError("mms stability needs --out")
-    _ensure_out_dir(out)
-    table = stability_study(case, params, ks, h=1.0 / nx, T=T,
-                            sample_times=samples)
+
+    def study(T, samples):
+        return stability_study(case, params, ks, h=1.0 / nx, T=T,
+                               sample_times=samples)
+
     fname = f"stability_{case.label.split('_')[0]}.csv"
-    path = os.path.join(out, fname)
-    write_error_table(table, path)
-    man = _manifest("mms stability",
-                    {"case": case.label, "nx": nx, "multipliers": ks, "T": T,
-                     "params": asdict(params), **table.meta},
-                    None, [fname])
-    man.write(out)
-    return _table_exit(table, path)
+    return study, fname, {"case": case.label, "nx": nx, "multipliers": ks}
 
 
-def _cmd_mms_interface(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
+def _read_interface(args, cfg: dict, params: GrayScottParams):
     eps_list = _floats(_opt(args, cfg, "eps_list", "0.2,0.1,0.05,0.025"))
     nx = int(_opt(args, cfg, "nx", 128))
     dt = float(_opt(args, cfg, "dt", 1.0 / 256.0))
+    variant = _opt(args, cfg, "variant", "centered")
+
+    def study(T, samples):
+        return interface_study(params, eps_list, build_mesh(nx, nx), dt, T=T,
+                               variant=variant, sample_times=samples)
+
+    echo = {"eps_list": eps_list, "nx": nx, "dt": dt}
+    return study, "interface_tanh.csv", echo
+
+
+@dataclass(frozen=True)
+class _Study:
+    """One ``mms`` study subcommand.
+
+    read(args, cfg, params) resolves the study's own options and returns
+    (study(T, sample_times) -> ErrorTable, CSV file name, config echo).
+    """
+
+    help: str
+    with_case: bool
+    options: tuple  # (flag, argparse keywords) beyond the shared options
+    read: object
+
+
+_STUDIES = {
+    "convergence": _Study(
+        "dt = h^2 refinement sweep", True,
+        (("--sizes", {"help": "comma-separated mesh sizes"}),),
+        _read_convergence),
+    "stability": _Study(
+        "dt = k*h sweep on fixed mesh", True,
+        (("--nx", {"type": int}),
+         ("--multipliers", {"help": "comma-separated k values"})),
+        _read_stability),
+    "interface": _Study(
+        "front-width sensitivity sweep", False,
+        (("--variant", {"choices": ("centered", "halfwave")}),
+         ("--eps-list", {"dest": "eps_list",
+                         "help": "comma-separated widths, descending"}),
+         ("--nx", {"type": int}),
+         ("--dt", {"type": float})),
+        _read_interface),
+}
+
+
+def _cmd_mms_study(args) -> int:
+    """Shared scaffold: options, out dir, study, CSV, manifest, exit code."""
+    name = args.mms_command
+    cfg = _load_config(args.config)
+    params = _params_from(args, cfg)
+    study, fname, echo = _STUDIES[name].read(args, cfg, params)
     T = float(_opt(args, cfg, "t_end", 1.0))
     samples = _sample_times(args, cfg)
-    variant = _opt(args, cfg, "variant", "centered")
     out = _opt(args, cfg, "out", None)
     if out is None:
-        raise ValueError("mms interface needs --out")
+        raise ValueError(f"mms {name} needs --out")
     _ensure_out_dir(out)
-    mesh = build_mesh(nx, nx)
-    table = interface_study(params, eps_list, mesh, dt, T=T, variant=variant,
-                            sample_times=samples)
-    path = os.path.join(out, "interface_tanh.csv")
+    table = study(T, samples)
+    path = os.path.join(out, fname)
     write_error_table(table, path)
-    man = _manifest("mms interface",
-                    {"eps_list": eps_list, "nx": nx, "dt": dt, "T": T,
-                     "params": asdict(params), **table.meta},
-                    None, ["interface_tanh.csv"])
+    man = _manifest(f"mms {name}",
+                    {**echo, "T": T, "params": asdict(params), **table.meta},
+                    None, [fname])
     man.write(out)
     return _table_exit(table, path)
 
@@ -424,37 +450,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-v", dest="d_v", type=float)
         p.add_argument("--config", help="JSON file with option defaults")
 
-    conv = msub.add_parser("convergence", help="dt = h^2 refinement sweep")
-    common(conv)
-    conv.add_argument("--sizes", help="comma-separated mesh sizes")
-    conv.add_argument("--t-end", dest="t_end", type=float)
-    conv.add_argument("--sample-times", dest="sample_times",
-                      help="comma-separated error sample times")
-    conv.add_argument("--out")
-    conv.set_defaults(func=_cmd_mms_convergence)
-
-    stab = msub.add_parser("stability", help="dt = k*h sweep on fixed mesh")
-    common(stab)
-    stab.add_argument("--nx", type=int)
-    stab.add_argument("--multipliers", help="comma-separated k values")
-    stab.add_argument("--t-end", dest="t_end", type=float)
-    stab.add_argument("--sample-times", dest="sample_times",
-                      help="comma-separated error sample times")
-    stab.add_argument("--out")
-    stab.set_defaults(func=_cmd_mms_stability)
-
-    intf = msub.add_parser("interface", help="front-width sensitivity sweep")
-    common(intf, with_case=False)
-    intf.add_argument("--variant", choices=("centered", "halfwave"))
-    intf.add_argument("--eps-list", dest="eps_list",
-                      help="comma-separated widths, descending")
-    intf.add_argument("--nx", type=int)
-    intf.add_argument("--dt", type=float)
-    intf.add_argument("--t-end", dest="t_end", type=float)
-    intf.add_argument("--sample-times", dest="sample_times",
-                      help="comma-separated error sample times")
-    intf.add_argument("--out")
-    intf.set_defaults(func=_cmd_mms_interface)
+    for name, study in _STUDIES.items():
+        p = msub.add_parser(name, help=study.help)
+        common(p, with_case=study.with_case)
+        for flag, kwargs in study.options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--t-end", dest="t_end", type=float)
+        p.add_argument("--sample-times", dest="sample_times",
+                       help="comma-separated error sample times")
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_mms_study)
 
     resid = msub.add_parser("residual", help="source-term defect oracle")
     common(resid)

@@ -1,10 +1,10 @@
 """Per-step implicit diffusion operator and its conjugate-gradient solve.
 
-The operator is (A u)_K = h^2 u_K + dt * d * sum_{L ~ K} tau_KL (u_K - u_L):
-the h^2-weighted identity plus the two-point flux stiffness, symmetric
-positive definite for any dt > 0, d > 0. Constants are eigenvectors with
-eigenvalue h^2, so the default initial guess rhs / h^2 solves constant
-right-hand sides exactly.
+The operator is (A u)_K = h^2 u_K + dt * d * sum_{L ~ K} (u_K - u_L): the
+h^2-weighted identity plus the two-point flux stiffness (transmissibility 1
+on square cells), symmetric positive definite for any dt > 0, d > 0.
+Constants are eigenvectors with eigenvalue h^2, so the default initial guess
+rhs / h^2 solves constant right-hand sides exactly.
 """
 
 from __future__ import annotations
@@ -49,14 +49,11 @@ def _apply_values(op: ImplicitDiffusionOperator, g_flat: np.ndarray) -> np.ndarr
     g = g_flat.reshape(ny, nx)
     out = (m.h ** 2) * g
     c = op.dt * op.d
-    # face tau arrays are views of the mesh storage: x faces then y faces
-    n_xf = ny * (nx - 1)
-    tau_x = m.face_tau[:n_xf].reshape(ny, nx - 1)
-    tau_y = m.face_tau[n_xf:].reshape(ny - 1, nx)
-    jx = tau_x * (g[:, :-1] - g[:, 1:])
+    # unit-transmissibility fluxes across x faces, then y faces
+    jx = g[:, :-1] - g[:, 1:]
     out[:, :-1] += c * jx
     out[:, 1:] -= c * jx
-    jy = tau_y * (g[:-1, :] - g[1:, :])
+    jy = g[:-1, :] - g[1:, :]
     out[:-1, :] += c * jy
     out[1:, :] -= c * jy
     return out.ravel()

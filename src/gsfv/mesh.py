@@ -4,7 +4,7 @@ Cells are squares of side h covering a rectangle, numbered row-major with x
 fastest: cell k = j*nx + i sits at center (origin_x + (i+1/2)h,
 origin_y + (j+1/2)h). Interior faces carry a transmissibility
 tau = |face| / (center distance), which is identically 1 on a uniform square
-grid; it is stored explicitly so flux code keeps the general two-point form.
+grid, so flux code works on structured differences of the (ny, nx) grid.
 Boundary faces carry no flux (homogeneous Neumann boundary).
 """
 
@@ -29,20 +29,16 @@ class IndexOutOfRange(IndexError):
 
 @dataclass(frozen=True, eq=False)
 class UniformMesh:
-    """Immutable mesh: geometry plus the interior-face incidence arrays.
+    """Immutable mesh geometry.
 
-    face_k, face_l, face_tau are parallel arrays over interior faces,
-    x-oriented faces first (row-major), then y-oriented faces. xc, yc are
-    flat cell-center coordinates in cell order.
+    xc, yc are flat cell-center coordinates in cell order. Interior faces
+    are implied by the grid; interior_faces() lists them on demand.
     """
 
     nx: int
     ny: int
     h: float
     origin: tuple[float, float]
-    face_k: np.ndarray
-    face_l: np.ndarray
-    face_tau: np.ndarray
     xc: np.ndarray
     yc: np.ndarray
 
@@ -52,14 +48,17 @@ class UniformMesh:
 
     @property
     def n_faces(self) -> int:
-        return self.face_k.size
+        return self.nx * (self.ny - 1) + self.ny * (self.nx - 1)
 
-    def interior_faces(self):
-        """List of (k, l, tau) triples, python scalars, storage order."""
-        return [
-            (int(k), int(l), float(t))
-            for k, l, t in zip(self.face_k, self.face_l, self.face_tau)
-        ]
+    def interior_faces(self) -> list:
+        """List of (k, l, tau) triples, python scalars: x-oriented faces
+        between k and l = k + 1 first, then y-oriented faces between k and
+        l = k + nx, each row-major. tau is 1 on square cells."""
+        nx, ny = self.nx, self.ny
+        x_faces = [(j * nx + i, j * nx + i + 1, 1.0)
+                   for j in range(ny) for i in range(nx - 1)]
+        y_faces = [(k, k + nx, 1.0) for k in range((ny - 1) * nx)]
+        return x_faces + y_faces
 
     def compatible(self, other: "UniformMesh") -> bool:
         """True if other has identical resolution, spacing and origin."""
@@ -88,18 +87,11 @@ def build_mesh(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0,
         raise NonSquareCells(f"cell sides differ: {hx} vs {hy}")
     h = hx
 
-    idx = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
-    # x-oriented faces between (i, j) and (i+1, j), then y-oriented ones
-    face_k = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    face_l = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    face_tau = np.ones(face_k.size, dtype=np.float64)
-
     ox, oy = float(origin[0]), float(origin[1])
     x1 = ox + (np.arange(nx) + 0.5) * h
     y1 = oy + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(x1, y1)
-    return UniformMesh(nx, ny, h, (ox, oy), face_k, face_l, face_tau,
-                       X.ravel(), Y.ravel())
+    return UniformMesh(nx, ny, h, (ox, oy), X.ravel(), Y.ravel())
 
 
 def cell_center(mesh: UniformMesh, k: int) -> tuple[float, float]:

@@ -17,9 +17,7 @@ observed orders by least squares in log-log.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,11 +35,11 @@ class DomainError(ValueError):
 
 
 class SampleTimeUnreachable(ValueError):
-    """Sample times not ascending, outside (0, T], or incompatible with dt."""
+    """Sample times not ascending, outside [0, T], or incompatible with dt."""
 
 
 class UnresolvableInterface(ValueError):
-    """Interface width too thin for the mesh (eps < 2h)."""
+    """Interface width too thin for the mesh (eps <= 2h)."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,10 @@ def _sech2(z):
     return 4.0 * e / (1.0 + e) ** 2
 
 
+# level-set r = cos(w (x - shift)) + cos(w (y - shift)) per variant: (w, shift)
+_TANH_VARIANTS = {"centered": (TWO_PI, 0.5), "halfwave": (math.pi, 0.0)}
+
+
 def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
               A: float = 0.25, lam: float = TWO_PI,
               variant: str = "centered") -> ManufacturedCase:
@@ -114,29 +116,18 @@ def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
     """
     if eps <= 0.0:
         raise DomainError(f"need eps > 0, got {eps}")
-    if variant == "centered":
-        w = TWO_PI
-
-        def r(x, y):
-            return np.cos(w * (x - 0.5)) + np.cos(w * (y - 0.5))
-
-        def grad_r_sq(x, y):
-            return w * w * (np.sin(w * (x - 0.5)) ** 2
-                            + np.sin(w * (y - 0.5)) ** 2)
-
-        lap_factor = -w * w  # lap(r) = lap_factor * r
-    elif variant == "halfwave":
-        w = math.pi
-
-        def r(x, y):
-            return np.cos(w * x) + np.cos(w * y)
-
-        def grad_r_sq(x, y):
-            return w * w * (np.sin(w * x) ** 2 + np.sin(w * y) ** 2)
-
-        lap_factor = -w * w
-    else:
+    if not isinstance(variant, str) or variant not in _TANH_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
+    w, shift = _TANH_VARIANTS[variant]
+
+    def r(x, y):
+        return np.cos(w * (x - shift)) + np.cos(w * (y - shift))
+
+    def grad_r_sq(x, y):
+        return w * w * (np.sin(w * (x - shift)) ** 2
+                        + np.sin(w * (y - shift)) ** 2)
+
+    lap_factor = -w * w  # lap(r) = lap_factor * r
 
     d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
 
@@ -291,22 +282,6 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
     return ErrorRow(mesh.h, dt, e_l2_u, e_l2_v, e_li_u, e_li_v, runtime)
 
 
-def _worker_count(n_tasks: int, workers) -> int:
-    if workers is not None:
-        return max(1, min(int(workers), n_tasks))
-    env = os.environ.get("GSFV_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
-def _map_ordered(fn, items, workers):
-    n = _worker_count(len(items), workers)
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 def observed_orders(rows, x_values) -> dict:
     """Least-squares slope of log(err) vs log(x) per error column.
 
@@ -330,8 +305,8 @@ def default_sample_times(T: float, n: int = 10) -> list:
 
 
 def convergence_study(case: ManufacturedCase, params: GrayScottParams,
-                      mesh_sizes, T: float = 1.0, sample_times=None,
-                      workers=None) -> ErrorTable:
+                      mesh_sizes, T: float = 1.0,
+                      sample_times=None) -> ErrorTable:
     """Refinement sweep with dt = h^2 on nx*nx unit-square meshes.
 
     Reported orders are slopes vs h^2: 1.0 means error ~ h^2 ~ dt.
@@ -346,7 +321,7 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
         mesh = build_mesh(nx, nx)
         return error_norms(case, params, mesh, mesh.h ** 2, T, samples)
 
-    rows = _map_ordered(row_for, sizes, workers)
+    rows = [row_for(nx) for nx in sizes]
     orders = observed_orders(rows, [r.h ** 2 for r in rows])
     meta = {"study": "convergence", "T": T, "sample_times": list(samples),
             "dt_rule": "h^2", "order_abscissa": "h^2"}
@@ -355,7 +330,7 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
 
 def stability_study(case: ManufacturedCase, params: GrayScottParams,
                     multipliers, h: float = 1.0 / 128.0, T: float = 1.0,
-                    sample_times=None, workers=None) -> ErrorTable:
+                    sample_times=None) -> ErrorTable:
     """Fixed mesh, dt = k*h for each multiplier k.
 
     Sample times must be integer multiples of every dt so no step is
@@ -387,7 +362,7 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
             nan = math.nan
             return ErrorRow(mesh.h, k * h, nan, nan, nan, nan, math.nan)
 
-    rows = _map_ordered(row_for, ks, workers)
+    rows = [row_for(k) for k in ks]
     orders = observed_orders(rows, [r.dt for r in rows])
     meta = {"study": "stability", "T": T, "h": h, "multipliers": ks,
             "sample_times": list(samples), "order_abscissa": "dt"}
@@ -397,7 +372,7 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
 def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
                     dt: float, T: float = 1.0, sample_times=None,
                     r00: float = 0.25, A: float = 0.25, lam: float = TWO_PI,
-                    variant: str = "centered", workers=None) -> ErrorTable:
+                    variant: str = "centered") -> ErrorTable:
     """Front-width sweep on a fixed mesh and dt.
 
     Errors grow as eps shrinks; orders are slopes vs 1/eps (positive ~2 when
@@ -425,7 +400,7 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
         row.eps = e
         return row
 
-    rows = _map_ordered(row_for, epss, workers)
+    rows = [row_for(e) for e in epss]
     orders = observed_orders(rows, [1.0 / r.eps for r in rows])
     meta = {"study": "interface", "T": T, "dt": dt, "h": mesh.h,
             "eps_list": epss, "sample_times": list(samples),

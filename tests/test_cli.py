@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, main,
-                      read_field_csv, write_error_table,
+from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, _build_parser,
+                      main, read_field_csv, write_error_table,
                       write_field_snapshot)
 from gsfv.field import CellField, full
 from gsfv.mesh import build_mesh
@@ -218,3 +219,40 @@ def test_config_file_precedence(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["nx"] == 32
     assert manifest["config"]["t_end"] == 4.0  # config beats default
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _option_surface(parser, prefix=()):
+    """Map each (sub)command path to the set of its option strings."""
+    surface = {prefix: {s for a in parser._actions for s in a.option_strings}}
+    for name, sub in _subparsers(parser).items():
+        surface.update(_option_surface(sub, prefix + (name,)))
+    return surface
+
+
+def test_cli_option_surface():
+    help_ = {"-h", "--help"}
+    params = {"--F", "--k", "--d-u", "--d-v", "--config"}
+    case = {"--case", "--a", "--eps", "--variant"}
+    study = {"--t-end", "--sample-times", "--out"}
+    assert _option_surface(_build_parser()) == {
+        (): help_,
+        ("simulate",): help_ | {"--preset", "--nx", "--dt", "--t-end", "--d-u",
+                                "--d-v", "--snapshots", "--with-v", "--out",
+                                "--config"},
+        ("mms",): help_,
+        ("mms", "convergence"): help_ | params | case | study | {"--sizes"},
+        ("mms", "stability"): help_ | params | case | study
+        | {"--nx", "--multipliers"},
+        # no --eps here: "--eps 0.2,0.1" must expand to --eps-list
+        ("mms", "interface"): help_ | params | study
+        | {"--variant", "--eps-list", "--nx", "--dt"},
+        ("mms", "residual"): help_ | params | case | {"--t", "--sizes"},
+        ("presets",): help_,
+    }

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gsfv.field import (CellField, MeshMismatch, full, grad_form_h, inner_h,
                         norm_l2_h, norm_linf, project, seminorm_h1_h)
@@ -167,6 +167,23 @@ def test_positivity(mf):
         assert inner_h(w, w) > 0.0 or np.all(w.values == 0.0)
     if np.any(w.values != 0.0):
         assert inner_h(w, w) > 0.0
+
+
+@given(nx=st.integers(2, 12), ny=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(nx=4, ny=8, seed=0)
+@example(nx=12, ny=2, seed=1)
+def test_grad_form_matches_face_list(nx, ny, seed):
+    # the structured stencil against the face-by-face definition
+    m = build_mesh(nx, ny, float(nx), float(ny))
+    rng = np.random.default_rng(seed)
+    w = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
+    phi = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
+    wv, pv = w.values, phi.values
+    terms = [tau * (wv[K] - wv[L]) * (pv[K] - pv[L])
+             for K, L, tau in m.interior_faces()]
+    got = grad_form_h(w, phi)
+    assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
 def test_grad_form_positive_on_nonconstant():
