@@ -6,7 +6,8 @@ from .mesh import (IndexOutOfRange, InvalidSize, NonSquareCells, UniformMesh,
                    build_mesh, cell_center)
 from .field import (CellField, MeshMismatch, full, project, inner_h,
                     grad_form_h, norm_l2_h, norm_linf, seminorm_h1_h)
-from .diffusion import ImplicitDiffusionOperator, NoConvergence, apply, solve
+from .diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
+                        solve, solve_cg)
 from .imex import (GrayScottParams, MonitorReport, RunConfig, SimState,
                    reaction_f, reaction_g, run, step)
 from .mms import (DomainError, ErrorRow, ErrorTable, ManufacturedCase,
@@ -25,6 +26,7 @@ __all__ = [
     "CellField", "MeshMismatch", "full", "project", "inner_h", "grad_form_h",
     "norm_l2_h", "norm_linf", "seminorm_h1_h",
     "ImplicitDiffusionOperator", "NoConvergence", "apply", "solve",
+    "solve_cg",
     "GrayScottParams", "MonitorReport", "RunConfig", "SimState",
     "reaction_f", "reaction_g", "run", "step",
     "DomainError", "ErrorRow", "ErrorTable", "ManufacturedCase",

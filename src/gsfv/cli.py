@@ -7,8 +7,8 @@ h,dt,err_Linf_L2_u,err_Linf_L2_v,err_Linf_Linf_u,err_Linf_Linf_v,runtime_s
 16-bit binary PGM images and as raw CSV value grids. Every run writes a
 manifest.json echoing the configuration and monitor summary.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (solver
-non-convergence or NaN), 3 I/O failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (non-finite
+values), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def _cmd_simulate(args) -> int:
                    "h": mesh.h, "dt": dt, "t_end": t_end, "d_u": d_u,
                    "d_v": d_v, "with_v": with_v,
                    "snapshot_times": [s.t for s in snaps],
-                   "solver_tol": 1e-10, "bound_tolerance": 1e-12}
+                   "solver": "dct", "bound_tolerance": 1e-12}
     man = _manifest("simulate", config_echo, _monitor_summary(report),
                     outputs)
     man.write(out)
@@ -308,10 +308,11 @@ def _read_convergence(args, cfg: dict, params: GrayScottParams):
 def _read_stability(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     nx = int(_opt(args, cfg, "nx", 128))
+    h = build_mesh(nx, nx).h  # raises InvalidSize for nx < 2
     ks = _floats(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
 
     def study(T, samples):
-        return stability_study(case, params, ks, h=1.0 / nx, T=T,
+        return stability_study(case, params, ks, h=h, T=T,
                                sample_times=samples)
 
     fname = f"stability_{case.label.split('_')[0]}.csv"

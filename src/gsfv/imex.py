@@ -153,12 +153,12 @@ def _sample_source(src, t: float, mesh) -> np.ndarray:
 
 
 def step(state: SimState, params: GrayScottParams, dt: float,
-         sources=None, solver_tol: float = 1e-10,
-         solver_max_iter: int = 1000) -> SimState:
+         sources=None) -> SimState:
     """One semi-implicit step of size dt from state.
 
     sources, when given, is a pair (S_u, S_v) of callables (t, x, y)
-    evaluated at the old time. Solver failures propagate as NoConvergence.
+    evaluated at the old time. A non-finite right-hand side raises
+    NoConvergence from the solve.
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
@@ -175,10 +175,8 @@ def step(state: SimState, params: GrayScottParams, dt: float,
 
     rhs_u = CellField(mesh, h2 * (u + dt * fu))
     rhs_v = CellField(mesh, h2 * (v + dt * gv))
-    u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u,
-                  tol=solver_tol, max_iter=solver_max_iter)
-    v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v,
-                  tol=solver_tol, max_iter=solver_max_iter)
+    u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u)
+    v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v)
     return SimState(state.n + 1, state.t + dt, u_new, v_new)
 
 

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +137,24 @@ def test_simulate_unknown_preset(tmp_path):
 def test_usage_error_exit_code():
     assert main(["simulate", "--bogus-flag"]) == 1
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("nx", ["0", "1"])
+def test_stability_rejects_too_small_nx(tmp_path, capsys, nx):
+    out = tmp_path / "stab"
+    rc = main(["mms", "stability", "--nx", nx, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: need nx, ny >= 2")
+    assert not out.exists()
+
+
+def test_python_m_gsfv_help_is_clean(src_env):
+    proc = subprocess.run([sys.executable, "-m", "gsfv", "--help"],
+                          env=src_env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: gsfv")
 
 
 def test_io_failure_exit_code(tmp_path):

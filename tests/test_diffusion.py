@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gsfv.diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
-                            solve)
+                            solve, solve_cg)
 from gsfv.field import CellField, MeshMismatch, full
 from gsfv.mesh import build_mesh
 
@@ -106,7 +108,7 @@ def test_stiffness_mass_neutral(ou):
 def test_solve_constant_rhs_immediate():
     m = build_mesh(4, 4, 1.0, 1.0)
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    x = solve(op, full(m, m.h ** 2))
+    x = solve_cg(op, full(m, m.h ** 2))
     assert np.array_equal(x.values, np.ones(16))
 
 
@@ -117,7 +119,7 @@ def test_solve_round_trip():
     x_true = rng.uniform(-1, 1, m.n_cells)
     rhs = apply(op, CellField(m, x_true))
     tol = 1e-10
-    x = solve(op, rhs, tol=tol)
+    x = solve_cg(op, rhs, tol=tol)
     rel = np.linalg.norm(x.values - x_true) / np.linalg.norm(x_true)
     assert rel <= 10 * tol
 
@@ -127,15 +129,16 @@ def test_solve_matches_dense_elimination():
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
     rhs = CellField(m, np.array([1.0, 0.0, 0.0, 0.0]))
     want = np.linalg.solve(dense_matrix(m, 1.0, 1.0), rhs.values)
-    got = solve(op, rhs, tol=1e-13).values
+    got = solve_cg(op, rhs, tol=1e-13).values
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_solve_zero_rhs():
     m = build_mesh(4, 4, 1.0, 1.0)
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    x = solve(op, full(m, 0.0))
-    assert np.array_equal(x.values, np.zeros(16))
+    for solver in (solve, solve_cg):
+        x = solver(op, full(m, 0.0))
+        assert np.array_equal(x.values, np.zeros(16))
 
 
 def test_solve_honors_x0():
@@ -143,7 +146,7 @@ def test_solve_honors_x0():
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
     x_true = full(m, 1.0)
     rhs = apply(op, x_true)
-    x = solve(op, rhs, x0=x_true)
+    x = solve_cg(op, rhs, x0=x_true)
     assert np.array_equal(x.values, x_true.values)
 
 
@@ -152,13 +155,14 @@ def test_solve_validation():
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
     rhs = full(m, 1.0)
     with pytest.raises(ValueError):
-        solve(op, rhs, tol=0.0)
+        solve_cg(op, rhs, tol=0.0)
     with pytest.raises(ValueError):
-        solve(op, rhs, tol=1.0)
+        solve_cg(op, rhs, tol=1.0)
     with pytest.raises(ValueError):
-        solve(op, rhs, max_iter=0)
-    with pytest.raises(MeshMismatch):
-        solve(op, full(build_mesh(4, 4, 1.0, 1.0), 1.0))
+        solve_cg(op, rhs, max_iter=0)
+    for solver in (solve, solve_cg):
+        with pytest.raises(MeshMismatch):
+            solver(op, full(build_mesh(4, 4, 1.0, 1.0), 1.0))
     with pytest.raises(MeshMismatch):
         apply(op, full(build_mesh(4, 4, 1.0, 1.0), 1.0))
 
@@ -168,6 +172,63 @@ def test_no_convergence_reports_state():
     op = ImplicitDiffusionOperator(m, 5.0, 10.0)
     rhs = CellField(m, np.eye(m.n_cells)[0])
     with pytest.raises(NoConvergence) as ei:
-        solve(op, rhs, tol=1e-14, max_iter=1)
+        solve_cg(op, rhs, tol=1e-14, max_iter=1)
     assert ei.value.iterations == 1
     assert np.isfinite(ei.value.residual)
+
+
+@pytest.mark.parametrize("solver", [solve, solve_cg])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rhs_raises_at_once(solver, bad):
+    m = build_mesh(16, 16, 1.0, 1.0)
+    op = ImplicitDiffusionOperator(m, 1.0, 1.0)
+    b = np.ones(m.n_cells)
+    b[37] = bad
+    with pytest.raises(NoConvergence) as ei:
+        solver(op, CellField(m, b))
+    assert ei.value.iterations == 0
+    assert math.isnan(ei.value.residual)
+
+
+# Oracles for the eigenbasis solve. Tolerances are relative 2-norms: 1e-12
+# against dense elimination on the acceptance-07 meshes (condition numbers
+# up to ~130), 1e-10 against CG at tol=1e-13 (condition numbers up to ~8e3).
+
+def test_solve_matches_dense_on_oracle_meshes():
+    rng = np.random.default_rng(11)
+    meshes = [build_mesh(n, n) for n in range(2, 9)]
+    meshes.append(build_mesh(4, 8, 0.5, 1.0))
+    for m in meshes:
+        for d, dt in ((1.6e-5, 1.0), (1.0, 0.25)):
+            op = ImplicitDiffusionOperator(m, d, dt)
+            b = rng.uniform(-1.0, 1.0, m.n_cells)
+            want = np.linalg.solve(dense_matrix(m, d, dt), b)
+            got = solve(op, CellField(m, b)).values
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= 1e-12, (m.nx, m.ny, d, dt, rel)
+
+
+@given(nx=st.integers(2, 24), ny=st.integers(2, 24),
+       log_ratio=st.floats(-6.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_agrees_with_cg(nx, ny, log_ratio, seed):
+    h = 1.0 / 32.0
+    m = build_mesh(nx, ny, nx * h, ny * h)
+    # d = 1, so dt * d / h^2 = 10 ** log_ratio
+    op = ImplicitDiffusionOperator(m, 1.0, 10.0 ** log_ratio * h * h)
+    rhs = CellField(m, np.random.default_rng(seed).uniform(-1, 1, m.n_cells))
+    want = solve_cg(op, rhs, tol=1e-13).values
+    got = solve(op, rhs).values
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@given(nx=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       ny=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       c=st.floats(-1e3, 1e3).filter(lambda c: c == 0.0 or abs(c) > 1e-300),
+       d=coeffs, dt=coeffs)
+def test_solve_constant_rhs_exact(nx, ny, c, d, dt):
+    # power-of-two h makes c * h^2 / h^2 == c (barring underflow), and A maps
+    # constants to h^2 c
+    h = 1.0 / 64.0
+    m = build_mesh(nx, ny, nx * h, ny * h)
+    x = solve(ImplicitDiffusionOperator(m, d, dt), full(m, c * h * h))
+    assert np.array_equal(x.values, np.full(m.n_cells, c))

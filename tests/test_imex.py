@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,7 +74,7 @@ def test_pure_diffusion_conserves_mass():
     state = SimState(0, 0.0, u0, full(m, 0.0))
     mass0 = m.h ** 2 * float(np.sum(state.u.values))
     for _ in range(10):
-        state = step(state, params, dt=0.1, solver_tol=1e-13)
+        state = step(state, params, dt=0.1)
         mass = m.h ** 2 * float(np.sum(state.u.values))
         assert abs(mass - mass0) <= 1e-12 * abs(mass0)
 
@@ -82,7 +84,7 @@ def test_mass_identity_single_step(u0, v0, dt):
     # diffusion fluxes telescope: the mass change equals dt * total kinetics
     m = build_mesh(8, 8, 1.0, 1.0)
     s0 = uniform_state(m, u0, v0)
-    s1 = step(s0, LAB, dt=dt, solver_tol=1e-13)
+    s1 = step(s0, LAB, dt=dt)
     dm = m.h ** 2 * float(np.sum(s1.u.values - s0.u.values))
     rhs = dt * m.h ** 2 * float(np.sum(reaction_f(s0.u.values, s0.v.values,
                                                   LAB.F)))
@@ -96,6 +98,37 @@ def test_step_deterministic():
     b = step(SimState(0, 0.0, u0.copy(), v0.copy()), LAB, dt=1.0)
     assert np.array_equal(a.u.values, b.u.values)
     assert np.array_equal(a.v.values, b.v.values)
+
+
+# Hashes u and v after three dt = 1 steps at 128^2 from a seeded random
+# state; the solve runs on BLAS, so the thread count must not change a bit.
+_HASH_STEPS = """
+import hashlib
+import numpy as np
+from gsfv.field import CellField
+from gsfv.imex import GrayScottParams, SimState, step
+from gsfv.mesh import build_mesh
+m = build_mesh(128, 128)
+rng = np.random.default_rng(5)
+s = SimState(0, 0.0, CellField(m, rng.random(m.n_cells)),
+             CellField(m, rng.random(m.n_cells)))
+for _ in range(3):
+    s = step(s, GrayScottParams(1.6e-5, 8e-6, 0.037, 0.060), 1.0)
+print(hashlib.sha256(s.u.values.tobytes() + s.v.values.tobytes()).hexdigest())
+"""
+
+
+def test_step_bits_independent_of_blas_threads(src_env):
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(src_env, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _HASH_STEPS], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_run_steady_three_steps():
