@@ -8,8 +8,8 @@ from .field import (CellField, MeshMismatch, full, project, inner_h,
                     grad_form_h, norm_l2_h, norm_linf, seminorm_h1_h)
 from .diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
                         solve, solve_cg)
-from .imex import (GrayScottParams, MonitorReport, RunConfig, SimState,
-                   reaction_f, reaction_g, run, step)
+from .imex import (GrayScottParams, MonitorReport, NonFiniteState, RunConfig,
+                   SimState, reaction_f, reaction_g, run, step)
 from .mms import (DomainError, ErrorRow, ErrorTable, ManufacturedCase,
                   SampleTimeUnreachable, UnresolvableInterface,
                   convergence_study, default_sample_times, error_norms,
@@ -27,8 +27,8 @@ __all__ = [
     "norm_l2_h", "norm_linf", "seminorm_h1_h",
     "ImplicitDiffusionOperator", "NoConvergence", "apply", "solve",
     "solve_cg",
-    "GrayScottParams", "MonitorReport", "RunConfig", "SimState",
-    "reaction_f", "reaction_g", "run", "step",
+    "GrayScottParams", "MonitorReport", "NonFiniteState", "RunConfig",
+    "SimState", "reaction_f", "reaction_g", "run", "step",
     "DomainError", "ErrorRow", "ErrorTable", "ManufacturedCase",
     "SampleTimeUnreachable", "UnresolvableInterface",
     "convergence_study", "default_sample_times", "error_norms",

@@ -43,12 +43,11 @@ class IoFailure(OSError):
     """Snapshot, table, or manifest could not be written or read."""
 
 
-def write_field_snapshot(field: CellField, path: str, fmt: str = "pgm",
-                         lo: float = 0.0, hi: float = 1.0,
-                         comment: str | None = None) -> None:
+def write_field_snapshot(field: CellField, path: str,
+                         fmt: str = "pgm") -> None:
     """Write a field as a 16-bit binary PGM image or a CSV value grid.
 
-    PGM: values are clipped to [lo, hi] and scaled to 0..65535, rows written
+    PGM: values are clipped to [0, 1] and scaled to 0..65535, rows written
     top-to-bottom (largest y first); a header comment carries the manifest
     reference. CSV: one row per mesh row in cell order (smallest y first),
     full double precision via repr, no comment rows.
@@ -57,13 +56,10 @@ def write_field_snapshot(field: CellField, path: str, fmt: str = "pgm",
     grid = field.values.reshape(m.ny, m.nx)
     try:
         if fmt == "pgm":
-            span = hi - lo
-            if span <= 0.0:
-                raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-            scaled = np.clip((grid - lo) / span, 0.0, 1.0)
+            scaled = np.clip(grid, 0.0, 1.0)
             # round half up so 0.5 maps to 32768, not banker's 32767/32768 mix
             pix = np.floor(scaled * 65535.0 + 0.5).astype(">u2")
-            header = f"P5\n# {comment or 'manifest: ' + MANIFEST_NAME}\n" \
+            header = f"P5\n# manifest: {MANIFEST_NAME}\n" \
                      f"{m.nx} {m.ny}\n65535\n"
             with open(path, "wb") as fh:
                 fh.write(header.encode("ascii"))

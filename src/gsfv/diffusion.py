@@ -62,13 +62,13 @@ def _apply_values(op: ImplicitDiffusionOperator, g_flat: np.ndarray) -> np.ndarr
     g = g_flat.reshape(ny, nx)
     out = (m.h ** 2) * g
     c = op.dt * op.d
-    # unit-transmissibility fluxes across x faces, then y faces
-    jx = g[:, :-1] - g[:, 1:]
-    out[:, :-1] += c * jx
-    out[:, 1:] -= c * jx
-    jy = g[:-1, :] - g[1:, :]
-    out[:-1, :] += c * jy
-    out[1:, :] -= c * jy
+    # scaled unit-transmissibility fluxes across x faces, then y faces
+    fx = c * (g[:, :-1] - g[:, 1:])
+    out[:, :-1] += fx
+    out[:, 1:] -= fx
+    fy = c * (g[:-1, :] - g[1:, :])
+    out[:-1, :] += fy
+    out[1:, :] -= fy
     return out.ravel()
 
 

@@ -104,7 +104,9 @@ def grad_form_h(w: CellField, phi: CellField) -> float:
     _require_same_mesh(w, phi)
     # tau = 1 and negating both differences is exact, so this one dot is
     # bit-identical to dot(tau * (w_K - w_L), phi_K - phi_L) in face order
-    return float(np.dot(_face_differences(w), _face_differences(phi)))
+    dw = _face_differences(w)
+    dphi = dw if phi is w else _face_differences(phi)
+    return float(np.dot(dw, dphi))
 
 
 def norm_l2_h(w: CellField) -> float:

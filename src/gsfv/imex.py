@@ -8,7 +8,7 @@ One step advances both species from the same (u^n, v^n):
 with f(u, v) = -u v^2 + F (1 - u) and g(u, v) = u v^2 - (F + k) v. Optional
 source callables (t, x, y) are sampled at cell centers at the old time.
 Monitors report bound violations and track an energy ledger; they never
-modify the solution.
+modify the solution. A non-finite right-hand side raises NonFiniteState.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diffusion import ImplicitDiffusionOperator, solve
+from .diffusion import ImplicitDiffusionOperator, NoConvergence, solve
 from .field import CellField, grad_form_h, inner_h
 
 
@@ -59,20 +59,32 @@ class SimState:
     v: CellField
 
 
+class NonFiniteState(NoConvergence):
+    """The solve of step number step from time t rejected a non-finite
+    right-hand side. species is the first species with a non-finite state,
+    else (kinetics or sources overflowed) the species whose solve failed."""
+
+    def __init__(self, step: int, t: float, species: str):
+        super().__init__(0, math.nan)
+        self.step = step
+        self.t = t
+        self.species = species
+        self.args = (f"non-finite {species} at step {step}, t={t!r}",)
+
+
 @dataclass
 class RunConfig:
     """Time-stepping and monitoring knobs for run().
 
-    T is the absolute terminal time. Bounds are reported against
-    [0, 1] for u and [0, v_max] for v with the given slack.
+    T is the absolute terminal time. monitors switches the bound and energy
+    monitors together. Bounds are reported against [0, 1] for both species
+    with the given slack.
     """
 
     dt: float
     T: float
-    monitor_bounds: bool = True
-    monitor_energy: bool = True
+    monitors: bool = True
     bound_tolerance: float = 1e-12
-    v_max: float = 1.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -106,45 +118,26 @@ class MonitorReport:
         """Fold one state in; step_dt is None for the initial state."""
         if step_dt is not None:
             self.steps += 1
-        if config.monitor_bounds:
-            u, v = state.u.values, state.v.values
-            mu, Mu = float(u.min()), float(u.max())
-            mv, Mv = float(v.min()), float(v.max())
-            self.min_u = min(self.min_u, mu)
-            self.max_u = max(self.max_u, Mu)
-            self.min_v = min(self.min_v, mv)
-            self.max_v = max(self.max_v, Mv)
-            tol = config.bound_tolerance
-            if (mu < -tol or Mu > 1.0 + tol
-                    or mv < -tol or Mv > config.v_max + tol):
-                self.bound_violations += 1
-        if config.monitor_energy:
-            e = inner_h(state.u, state.u) + inner_h(state.v, state.v)
-            self.energy_max = max(self.energy_max, e)
-            if step_dt is not None:
-                inc = step_dt * (
-                    params.d_u * grad_form_h(state.u, state.u)
-                    + params.d_v * grad_form_h(state.v, state.v))
-                prev = self.dissipation[-1] if self.dissipation else 0.0
-                self.dissipation.append(prev + inc)
-
-    def merge(self, other: "MonitorReport") -> "MonitorReport":
-        """Combine with the report of a continuation run."""
-        out = MonitorReport(
-            steps=self.steps + other.steps,
-            shortened_final_step=self.shortened_final_step
-            or other.shortened_final_step,
-            min_u=min(self.min_u, other.min_u),
-            max_u=max(self.max_u, other.max_u),
-            min_v=min(self.min_v, other.min_v),
-            max_v=max(self.max_v, other.max_v),
-            bound_violations=self.bound_violations + other.bound_violations,
-            energy_max=max(self.energy_max, other.energy_max),
-        )
-        base = self.dissipation[-1] if self.dissipation else 0.0
-        out.dissipation = list(self.dissipation) + [base + d for d in
-                                                    other.dissipation]
-        return out
+        if not config.monitors:
+            return
+        u, v = state.u.values, state.v.values
+        mu, Mu = float(u.min()), float(u.max())
+        mv, Mv = float(v.min()), float(v.max())
+        self.min_u = min(self.min_u, mu)
+        self.max_u = max(self.max_u, Mu)
+        self.min_v = min(self.min_v, mv)
+        self.max_v = max(self.max_v, Mv)
+        tol = config.bound_tolerance
+        if mu < -tol or Mu > 1.0 + tol or mv < -tol or Mv > 1.0 + tol:
+            self.bound_violations += 1
+        e = inner_h(state.u, state.u) + inner_h(state.v, state.v)
+        self.energy_max = max(self.energy_max, e)
+        if step_dt is not None:
+            inc = step_dt * (
+                params.d_u * grad_form_h(state.u, state.u)
+                + params.d_v * grad_form_h(state.v, state.v))
+            prev = self.dissipation[-1] if self.dissipation else 0.0
+            self.dissipation.append(prev + inc)
 
 
 def _sample_source(src, t: float, mesh) -> np.ndarray:
@@ -158,7 +151,7 @@ def step(state: SimState, params: GrayScottParams, dt: float,
 
     sources, when given, is a pair (S_u, S_v) of callables (t, x, y)
     evaluated at the old time. A non-finite right-hand side raises
-    NoConvergence from the solve.
+    NonFiniteState.
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
@@ -175,8 +168,14 @@ def step(state: SimState, params: GrayScottParams, dt: float,
 
     rhs_u = CellField(mesh, h2 * (u + dt * fu))
     rhs_v = CellField(mesh, h2 * (v + dt * gv))
-    u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u)
-    v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v)
+    try:
+        u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u)
+        v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v)
+    except NoConvergence as e:
+        # the solve rejects only a non-finite right-hand side
+        named = (("u", state.u), ("v", state.v), ("u", rhs_u))
+        species = next((s for s, f in named if not f.is_finite()), "v")
+        raise NonFiniteState(state.n + 1, state.t, species) from e
     return SimState(state.n + 1, state.t + dt, u_new, v_new)
 
 

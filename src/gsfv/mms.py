@@ -28,6 +28,8 @@ from .imex import GrayScottParams, RunConfig, SimState, reaction_f, reaction_g, 
 from .mesh import UniformMesh, build_mesh
 
 TWO_PI = 2.0 * math.pi
+FRONT_AMPLITUDE = 0.25
+FRONT_OMEGA = TWO_PI
 
 
 class DomainError(ValueError):
@@ -104,10 +106,10 @@ _TANH_VARIANTS = {"centered": (TWO_PI, 0.5), "halfwave": (math.pi, 0.0)}
 
 
 def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
-              A: float = 0.25, lam: float = TWO_PI,
               variant: str = "centered") -> ManufacturedCase:
     """Moving-front case: u* = (1 + tanh(s/eps))/2, v* = 1 - u*, where
-    s(t, x, y) = r0(t) - r(x, y) and r0(t) = r00 + A sin(lam t).
+    s(t, x, y) = r0(t) - r(x, y) and r0(t) = r00 + A sin(lam t), with
+    A = FRONT_AMPLITUDE = 1/4 and lam = FRONT_OMEGA = 2 pi (period 1).
 
     variant selects the level-set function r:
       "centered": r = cos(2 pi (x - 1/2)) + cos(2 pi (y - 1/2))  (default)
@@ -130,6 +132,7 @@ def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
     lap_factor = -w * w  # lap(r) = lap_factor * r
 
     d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
+    A, lam = FRONT_AMPLITUDE, FRONT_OMEGA
 
     def r0(t):
         return r00 + A * np.sin(lam * t)
@@ -267,8 +270,7 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
     e_l2_u = e_l2_v = e_li_u = e_li_v = 0.0
     for ts in times:
         if ts > state.t + 1e-14:
-            cfg = RunConfig(dt=dt, T=ts, monitor_bounds=False,
-                            monitor_energy=False)
+            cfg = RunConfig(dt=dt, T=ts, monitors=False)
             state, _ = run(state, params, cfg, sources=sources)
         ex_u = project(mesh, lambda x, y: case.u_star(ts, x, y), quad_order=3)
         ex_v = project(mesh, lambda x, y: case.v_star(ts, x, y), quad_order=3)
@@ -371,7 +373,6 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
 
 def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
                     dt: float, T: float = 1.0, sample_times=None,
-                    r00: float = 0.25, A: float = 0.25, lam: float = TWO_PI,
                     variant: str = "centered") -> ErrorTable:
     """Front-width sweep on a fixed mesh and dt.
 
@@ -379,8 +380,8 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
     the error scales like eps^-2). eps at or below 2h raises
     UnresolvableInterface.
 
-    Sampling note: the front position r0 is lam-periodic (period 1 at the
-    default lam = 2*pi). Sampling at whole periods (e.g. sample_times=[1.0])
+    Sampling note: the front position r0 of tanh_case has period 1.
+    Sampling at whole periods (e.g. sample_times=[1.0])
     cancels the generic first-order source-quadrature lag, which otherwise
     dominates with an eps^-1 signature and hides the eps^-2 sensitivity.
     """
@@ -395,7 +396,7 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
         else default_sample_times(T)
 
     def row_for(e: float) -> ErrorRow:
-        case = tanh_case(e, params, r00=r00, A=A, lam=lam, variant=variant)
+        case = tanh_case(e, params, variant=variant)
         row = error_norms(case, params, mesh, dt, T, samples)
         row.eps = e
         return row

@@ -81,8 +81,8 @@ class Snapshot(NamedTuple):
 
 def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
                 d_u: float = DEFAULT_D_U, d_v: float | None = None,
-                t_end: float | None = None, snapshot_times=None,
-                observers: tuple = ()) -> tuple[list, MonitorReport]:
+                t_end: float | None = None,
+                snapshot_times=None) -> tuple[list, MonitorReport]:
     """Run a preset from the seeded state, capturing snapshots.
 
     Snapshot times default to the preset's times clipped to t_end, with
@@ -118,5 +118,5 @@ def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
 
     capture(state)  # a t=0 snapshot, if requested
     cfg = RunConfig(dt=dt, T=t_end)
-    _, report = run(state, params, cfg, observers=(capture, *observers))
+    _, report = run(state, params, cfg, observers=(capture,))
     return snaps, report

@@ -1,7 +1,10 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -12,8 +15,12 @@ from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, _build_parser,
                       main, read_field_csv, write_error_table,
                       write_field_snapshot)
 from gsfv.field import CellField, full
+from gsfv.imex import RunConfig
 from gsfv.mesh import build_mesh
-from gsfv.mms import ErrorRow, ErrorTable
+from gsfv.mms import ErrorRow, ErrorTable, interface_study, tanh_case
+from gsfv.patterns import run_pattern
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def read_pgm(path):
@@ -276,3 +283,31 @@ def test_cli_option_surface():
         ("mms", "residual"): help_ | params | case | {"--t", "--sizes"},
         ("presets",): help_,
     }
+
+
+def test_library_option_surface():
+    # every parameter and config field below has a caller outside the tests
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "dt", "T", "monitors", "bound_tolerance"]
+    assert params(tanh_case) == ["eps", "params", "r00", "variant"]
+    assert params(interface_study) == [
+        "params", "eps_list", "mesh", "dt", "T", "sample_times", "variant"]
+    assert params(run_pattern) == [
+        "pat", "mesh", "dt", "d_u", "d_v", "t_end", "snapshot_times"]
+    assert params(write_field_snapshot) == ["field", "path", "fmt"]
+
+
+def test_readme_commands_parse():
+    with open(README, encoding="utf-8") as fh:
+        lines = [line for line in fh if line.startswith("gsfv ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line.strip()}")
+        assert hasattr(args, "func"), line

@@ -186,6 +186,14 @@ def test_grad_form_matches_face_list(nx, ny, seed):
     assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 7), (128, 128), (512, 512)])
+def test_grad_form_self_bit_identical(nx, ny):
+    # grad_form_h(w, w) reuses one set of face differences
+    m = build_mesh(nx, ny, float(nx), float(ny))
+    w = CellField(m, np.random.default_rng(nx).uniform(-1.0, 1.0, m.n_cells))
+    assert grad_form_h(w, w) == grad_form_h(w, w.copy())
+
+
 def test_grad_form_positive_on_nonconstant():
     m = build_mesh(3, 3, 1.0, 1.0)
     vals = np.zeros(9)

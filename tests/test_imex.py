@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gsfv.diffusion import NoConvergence
 from gsfv.field import CellField, full, inner_h, project
-from gsfv.imex import (GrayScottParams, MonitorReport, RunConfig, SimState,
-                       reaction_f, reaction_g, run, step)
+from gsfv.imex import (GrayScottParams, MonitorReport, NonFiniteState,
+                       RunConfig, SimState, reaction_f, reaction_g, run, step)
 from gsfv.mesh import build_mesh
 from gsfv.patterns import pattern_initial_condition
 
@@ -182,11 +183,12 @@ def test_monitor_flags_out_of_band_state():
 
 def test_monitors_off():
     m = build_mesh(8, 8, 1.0, 1.0)
-    cfg = RunConfig(dt=0.5, T=1.0, monitor_bounds=False, monitor_energy=False)
+    cfg = RunConfig(dt=0.5, T=1.0, monitors=False)
     _, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg)
     assert rep.steps == 2
     assert rep.dissipation == []
     assert rep.min_u == math.inf  # nothing recorded
+    assert rep.energy_max == -math.inf
 
 
 def test_dissipation_monotone_on_pattern_run():
@@ -225,16 +227,23 @@ def test_sources_sampled_at_old_time():
     assert seen == [0.0, 0.0, 0.5, 0.5]
 
 
-def test_report_merge():
-    a = MonitorReport(steps=2, min_u=0.1, max_u=0.9, min_v=0.0, max_v=0.5,
-                      bound_violations=1, energy_max=1.0,
-                      dissipation=[0.1, 0.2])
-    b = MonitorReport(steps=3, min_u=0.0, max_u=1.0, min_v=-0.1, max_v=0.4,
-                      bound_violations=0, energy_max=2.0,
-                      dissipation=[0.05])
-    c = a.merge(b)
-    assert c.steps == 5
-    assert c.min_u == 0.0 and c.max_u == 1.0 and c.min_v == -0.1
-    assert c.bound_violations == 1
-    assert c.energy_max == 2.0
-    assert c.dissipation == [0.1, 0.2, 0.25]
+@pytest.mark.parametrize("where, species", [
+    ("v cell", "v"), ("u cell", "u"), ("S_u", "u"), ("S_v", "v")])
+def test_non_finite_state_names_step_time_species(where, species):
+    m = build_mesh(16, 16, 1.0, 1.0)
+    u0, v0 = pattern_initial_condition(m)
+    if where == "v cell":
+        v0.values[37] = math.nan
+    if where == "u cell":
+        u0.values[37] = math.nan
+
+    def S(bad):
+        return lambda t, x, y: np.where(x > 0.5, math.inf, 0.0) if bad else 0.0
+
+    sources = (S(where == "S_u"), S(where == "S_v"))
+    with pytest.raises(NonFiniteState) as info:
+        step(SimState(0, 0.25, u0, v0), LAB, dt=1.0, sources=sources)
+    err = info.value
+    assert (err.step, err.t, err.species) == (1, 0.25, species)
+    assert isinstance(err, NoConvergence)  # study NaN rows, CLI exit 2
+    assert str(err) == f"non-finite {species} at step 1, t=0.25"
