@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .diffusion import NoConvergence
 from .field import CellField
-from .imex import GrayScottParams, MonitorReport
+from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
 from .mesh import InvalidSize, NonSquareCells, build_mesh
 from .mms import (DomainError, ErrorTable, SampleTimeUnreachable,
                   UnresolvableInterface, convergence_study, interface_study,
@@ -263,7 +263,7 @@ def _cmd_simulate(args) -> int:
                    "h": mesh.h, "dt": dt, "t_end": t_end, "d_u": d_u,
                    "d_v": d_v, "with_v": with_v,
                    "snapshot_times": [s.t for s in snaps],
-                   "solver": "dct", "bound_tolerance": 1e-12}
+                   "solver": "dct", "bound_tolerance": BOUND_TOLERANCE}
     man = _manifest("simulate", config_echo, _monitor_summary(report),
                     outputs)
     man.write(out)

@@ -72,6 +72,9 @@ class NonFiniteState(NoConvergence):
         self.args = (f"non-finite {species} at step {step}, t={t!r}",)
 
 
+BOUND_TOLERANCE = 1e-12  # RunConfig's default slack on the [0, 1] bounds
+
+
 @dataclass
 class RunConfig:
     """Time-stepping and monitoring knobs for run().
@@ -84,7 +87,7 @@ class RunConfig:
     dt: float
     T: float
     monitors: bool = True
-    bound_tolerance: float = 1e-12
+    bound_tolerance: float = BOUND_TOLERANCE
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -163,8 +166,8 @@ def step(state: SimState, params: GrayScottParams, dt: float,
     gv = reaction_g(u, v, params.F, params.k)
     if sources is not None:
         s_u, s_v = sources
-        fu = fu + _sample_source(s_u, state.t, mesh)
-        gv = gv + _sample_source(s_v, state.t, mesh)
+        fu += _sample_source(s_u, state.t, mesh)
+        gv += _sample_source(s_v, state.t, mesh)
 
     rhs_u = CellField(mesh, h2 * (u + dt * fu))
     rhs_v = CellField(mesh, h2 * (v + dt * gv))

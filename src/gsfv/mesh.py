@@ -31,8 +31,9 @@ class IndexOutOfRange(IndexError):
 class UniformMesh:
     """Immutable mesh geometry.
 
-    xc, yc are flat cell-center coordinates in cell order. Interior faces
-    are implied by the grid; interior_faces() lists them on demand.
+    xc, yc are flat, read-only cell-center coordinates in cell order.
+    Interior faces are implied by the grid; interior_faces() lists them on
+    demand.
     """
 
     nx: int
@@ -91,6 +92,10 @@ def build_mesh(nx: int, ny: int, Lx: float = 1.0, Ly: float = 1.0,
     x1 = ox + (np.arange(nx) + 0.5) * h
     y1 = oy + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(x1, y1)
+    # read-only before ravel, so xc and yc are views that cannot be made
+    # writable again: the source memos in mms key on their identity
+    X.setflags(write=False)
+    Y.setflags(write=False)
     return UniformMesh(nx, ny, h, (ox, oy), X.ravel(), Y.ravel())
 
 

@@ -131,6 +131,8 @@ def test_simulate_smoke(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["preset"] == "labyrinthine"
     assert manifest["monitors"]["bound_violations"] == 0
+    assert (manifest["config"]["bound_tolerance"]
+            == RunConfig(dt=1, T=1).bound_tolerance)
     assert set(manifest["outputs"]) == set(n for n in names
                                            if n != "manifest.json")
 

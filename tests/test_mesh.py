@@ -129,3 +129,12 @@ def test_compatible():
     c = build_mesh(8, 8, 1.0, 1.0)
     assert a.compatible(b)
     assert not a.compatible(c)
+
+
+def test_cell_centers_read_only():
+    m = build_mesh(4, 3, 4.0, 3.0)
+    for a in (m.xc, m.yc):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)

@@ -64,6 +64,35 @@ def test_tanh_rejects_bad_inputs():
         tanh_case(0.1, LAB, variant="diagonal")
 
 
+CASE_BUILDERS = {
+    "trig": lambda: trig_case(0.5, LAB),
+    "tanh-centered": lambda: tanh_case(0.1, LAB, variant="centered"),
+    "tanh-halfwave": lambda: tanh_case(0.1, LAB, variant="halfwave"),
+}
+
+
+@pytest.mark.parametrize("nx", [16, 37, 128])
+@pytest.mark.parametrize("kind", sorted(CASE_BUILDERS))
+def test_sources_bit_identical_to_uncached_evaluation(kind, nx):
+    # the memoised case sees repeated times, a step back in time, S_v before
+    # S_u and two meshes interleaved; a fresh case on writable copies of the
+    # coordinates bypasses both of its memos
+    case = CASE_BUILDERS[kind]()
+    meshes = (build_mesh(nx, nx), build_mesh(nx + 1, nx + 1))
+    schedule = [(0.3, 0), (0.3, 0), (0.1, 0), (0.1, 1), (0.0, 1), (0.3, 1),
+                (0.0, 0), (0.7, 0)]
+    for t, i in schedule:
+        m = meshes[i]
+        for name in ("S_v", "S_u", "S_v"):
+            got = getattr(case, name)(t, m.xc, m.yc)
+            fresh = getattr(CASE_BUILDERS[kind](), name)(
+                t, m.xc.copy(), m.yc.copy())
+            assert np.array_equal(got, fresh), (name, t, m.nx)
+            # the caller owns what it is handed: the next call at this t
+            # must not see the write
+            got[:] = -1.0
+
+
 # --- defect oracle ---------------------------------------------------------
 
 def test_residual_decays_second_order_trig():
