@@ -11,6 +11,21 @@ eigenvalues h^2 + dt*d*(4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny))
 (Strang, SIAM Rev. 41, 1999; Schumann & Sweet, J. Comput. Phys. 20, 1976).
 solve() uses that basis on every step; solve_cg() is the matrix-free
 conjugate-gradient method the paper describes, kept as the reference.
+
+solve() never forms the n x n cosine matrix Q. Its columns are mirror
+symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a transform needs only its top
+m = ceil(n/2) rows: the even-k coefficients depend only on the sums of
+mirrored input entries, the odd-k ones only on their differences (a
+butterfly; the inverse unfolds the same way). Each of the four n x n x n
+products of a dense transform becomes two (n/2) x (n/2) x n products, half
+the multiply-adds. For odd n the middle row is its own mirror and is
+counted once; the odd-k block is padded to m columns with a zero column,
+and its middle row is exactly 0. Coefficients stay in this [even | odd]
+order between the forward and the inverse transform.
+
+The products and butterflies write into two scratch buffers cached per
+mesh shape, so solve() is not re-entrant across threads (nothing in the
+package calls it from more than one thread). Its result is a new array.
 """
 
 from __future__ import annotations
@@ -90,36 +105,104 @@ def _check_rhs(op: ImplicitDiffusionOperator, rhs: CellField) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II matrix Q[i, k] = c_k cos(pi (i + 1/2) k / n), with
-    c_0 = sqrt(1/n) and c_k = sqrt(2/n), and the eigenvalues
-    4 sin^2(pi k / 2n) of the 1-D Neumann stiffness for its columns."""
+def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top m = ceil(n/2) rows of the orthonormal DCT-II matrix
+    Q[i, k] = c_k cos(pi (i + 1/2) k / n), c_0 = sqrt(1/n), c_k = sqrt(2/n),
+    as a (2, m, m) stack of its even-k and its odd-k columns, with the
+    eigenvalues 4 sin^2(pi k / 2n) of the 1-D Neumann stiffness for those
+    columns in the same (2, m) order. For odd n the odd block's last column
+    is a zero pad with eigenvalue 0, and its middle row is exactly 0."""
+    m = (n + 1) // 2
     k = np.arange(n)
-    q = np.cos(np.pi * np.outer(k + 0.5, k) / n) * math.sqrt(2.0 / n)
+    q = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / n) * math.sqrt(2.0 / n)
     q[:, 0] = math.sqrt(1.0 / n)
     lam = 4.0 * np.sin(0.5 * np.pi * k / n) ** 2
-    q.setflags(write=False)
-    lam.setflags(write=False)
-    return q, lam
+    blocks = np.zeros((2, m, m))
+    blocks[0] = q[:, 0::2]
+    blocks[1, :, :n // 2] = q[:, 1::2]
+    lam_p = np.zeros((2, m))
+    lam_p[0] = lam[0::2]
+    lam_p[1, :n // 2] = lam[1::2]
+    if n % 2:
+        # cos(pi k / 2) for odd k, which rounding leaves at ~1e-16
+        blocks[1, m - 1] = 0.0
+    blocks.setflags(write=False)
+    lam_p.setflags(write=False)
+    return blocks, lam_p
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two flat scratch buffers for solve() on an ny x nx mesh, each the
+    size of the padded coefficient array: n_cells doubles for even sizes."""
+    size = 4 * ((ny + 1) // 2) * ((nx + 1) // 2)
+    return np.empty(size), np.empty(size)
+
+
+def _fold(v: np.ndarray, out: np.ndarray) -> None:
+    """Butterfly along axis 0 of v (length n) into out (2, ceil(n/2), ...):
+    out[0] = top + mirrored bottom, out[1] = top - mirrored bottom, with an
+    odd middle slice counted once."""
+    k = v.shape[0] // 2
+    np.add(v[:k], v[::-1][:k], out=out[0, :k])
+    np.subtract(v[:k], v[::-1][:k], out=out[1, :k])
+    if v.shape[0] % 2:
+        out[:, k] = v[k]
+
+
+def _unfold(y: np.ndarray, out: np.ndarray) -> None:
+    """Inverse butterfly of y (2, ceil(n/2), ...) into out (n, ...) along
+    axis 0: top = y[0] + y[1], mirrored bottom = y[0] - y[1]."""
+    k = out.shape[0] // 2
+    np.add(y[0], y[1], out=out[:y.shape[1]])
+    np.subtract(y[0, :k], y[1, :k], out=out[::-1][:k])
 
 
 def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     """Solve A x = rhs exactly in the cosine eigenbasis.
 
     Starts from x0 = rhs / h^2 and adds the eigenbasis solve of the residual
-    rhs - A x0, so constant right-hand sides stay exact. Raises NoConvergence
+    rhs - A x0, so constant right-hand sides stay exact. The residual is
+    folded by rows (its mirror symmetry splits it into the parts the even-k
+    and the odd-k basis columns see) and transformed by one stacked product
+    against the two half-size blocks, then likewise by columns. The
+    coefficients are divided by the eigenvalues in that permuted order and
+    transformed back the same way; odd sizes carry one zero pad mode. Works
+    in buffers cached per mesh shape, so it is not re-entrant across
+    threads; the returned array is always new. Raises NoConvergence
     (0 iterations, nan residual) when rhs is non-finite.
     """
     _check_rhs(op, rhs)
     m = op.mesh
+    ny, nx = m.ny, m.nx
     h2 = m.h ** 2
     x = rhs.values / h2
-    r = (rhs.values - _apply_values(op, x)).reshape(m.ny, m.nx)
-    qx, lam_x = _cosine_basis(m.nx)
-    qy, lam_y = _cosine_basis(m.ny)
-    c = qy.T @ r @ qx
-    c /= h2 + (op.dt * op.d) * (lam_y[:, None] + lam_x[None, :])
-    x += (qy @ c @ qx.T).ravel()
+    r = _apply_values(op, x)
+    np.subtract(rhs.values, r, out=r)
+    by, lam_y = _folded_basis(ny)
+    bx, lam_x = _folded_basis(nx)
+    my, mx = lam_y.shape[1], lam_x.shape[1]
+    a, b = _workspace(ny, nx)
+    half = 2 * my * nx
+    a2, b2 = a[:half].reshape(2, my, nx), b[:half].reshape(2, my, nx)
+    # coefficient blocks, indexed [row parity, column parity]
+    a4, b4 = a.reshape(2, 2, my, mx), b.reshape(2, 2, my, mx)
+    # forward: fold and transform the rows, then the columns
+    _fold(r.reshape(ny, nx), a2)
+    np.matmul(by.transpose(0, 2, 1), a2, out=b2)
+    _fold(b2.transpose(2, 0, 1), a4.transpose(1, 3, 0, 2))
+    np.matmul(a4, bx, out=b4)
+    # divide by the eigenvalue grid, in the same permuted order
+    np.add(lam_y[:, None, :, None], lam_x[None, :, None, :], out=a4)
+    a4 *= op.dt * op.d
+    a4 += h2
+    b4 /= a4
+    # inverse: transform and unfold the columns, then the rows
+    np.matmul(b4, bx.transpose(0, 2, 1), out=a4)
+    _unfold(a4.transpose(1, 3, 0, 2), b2.transpose(2, 0, 1))
+    np.matmul(by, b2, out=a2)
+    _unfold(a2, b[:m.n_cells].reshape(ny, nx))
+    x += b[:m.n_cells]
     return CellField(m, x)
 
 

@@ -169,8 +169,16 @@ def step(state: SimState, params: GrayScottParams, dt: float,
         fu += _sample_source(s_u, state.t, mesh)
         gv += _sample_source(s_v, state.t, mesh)
 
-    rhs_u = CellField(mesh, h2 * (u + dt * fu))
-    rhs_v = CellField(mesh, h2 * (v + dt * gv))
+    # h2 * (u + dt * fu) built in place: IEEE * and + commute, so the bits
+    # are the same
+    fu *= dt
+    fu += u
+    fu *= h2
+    gv *= dt
+    gv += v
+    gv *= h2
+    rhs_u = CellField(mesh, fu)
+    rhs_v = CellField(mesh, gv)
     try:
         u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u)
         v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v)

@@ -198,6 +198,9 @@ def test_solve_matches_dense_on_oracle_meshes():
     rng = np.random.default_rng(11)
     meshes = [build_mesh(n, n) for n in range(2, 9)]
     meshes.append(build_mesh(4, 8, 0.5, 1.0))
+    # odd sizes pin the folded basis's middle row and pad column
+    meshes += [build_mesh(5, 7, 5 / 7, 1.0), build_mesh(7, 4, 1.0, 4 / 7),
+               build_mesh(8, 3, 1.0, 3 / 8), build_mesh(37, 5, 1.0, 5 / 37)]
     for m in meshes:
         for d, dt in ((1.6e-5, 1.0), (1.0, 0.25)):
             op = ImplicitDiffusionOperator(m, d, dt)
@@ -232,3 +235,36 @@ def test_solve_constant_rhs_exact(nx, ny, c, d, dt):
     m = build_mesh(nx, ny, nx * h, ny * h)
     x = solve(ImplicitDiffusionOperator(m, d, dt), full(m, c * h * h))
     assert np.array_equal(x.values, np.full(m.n_cells, c))
+
+
+@pytest.mark.parametrize("nx, ny", [(128, 128), (512, 512), (129, 127)])
+@pytest.mark.parametrize("dt_rule", ["1", "h^2"])
+def test_solve_agrees_with_cg_at_production_sizes(nx, ny, dt_rule):
+    # the pattern runs step with dt = 1, the MMS ladder with dt = h^2
+    h = 1.0 / 128.0 if nx < 512 else 1.0 / 512.0
+    m = build_mesh(nx, ny, nx * h, ny * h)
+    op = ImplicitDiffusionOperator(m, 1.6e-5, 1.0 if dt_rule == "1" else h * h)
+    rhs = CellField(m, np.random.default_rng(nx + ny).uniform(0, 1, m.n_cells))
+    want = solve_cg(op, rhs, tol=1e-13).values
+    got = solve(op, rhs).values
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_workspace_does_not_leak_between_calls():
+    rng = np.random.default_rng(3)
+    m, other = build_mesh(12, 12), build_mesh(9, 5, 1.0, 5 / 9)
+    op = ImplicitDiffusionOperator(m, 0.5, 0.01)
+    b1 = CellField(m, rng.uniform(-1, 1, m.n_cells))
+    b2 = CellField(m, rng.uniform(-1, 1, m.n_cells))
+    first = solve(op, b1)
+    kept = first.values.copy()
+    second = solve(op, b2)
+    solve(ImplicitDiffusionOperator(other, 0.5, 0.01),
+          CellField(other, rng.uniform(-1, 1, other.n_cells)))
+    assert np.array_equal(first.values, kept)
+    assert not np.shares_memory(first.values, second.values)
+    want = solve(op, b2).values.copy()
+    second.values[:] = np.nan
+    again = solve(op, b2)
+    assert np.array_equal(again.values, want)
+    assert not np.shares_memory(again.values, second.values)
