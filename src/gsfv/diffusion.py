@@ -3,14 +3,22 @@
 The operator is (A u)_K = h^2 u_K + dt * d * sum_{L ~ K} (u_K - u_L): the
 h^2-weighted identity plus the two-point flux stiffness (transmissibility 1
 on square cells), symmetric positive definite for any dt > 0, d > 0.
-Constants are eigenvectors with eigenvalue h^2, so the initial guess
-rhs / h^2 solves constant right-hand sides exactly.
 
-The orthonormal 2-D DCT-II basis diagonalises A on the uniform grid, with
-eigenvalues h^2 + dt*d*(4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny))
+The orthonormal 2-D DCT-II basis Q diagonalises A on the uniform grid, with
+eigenvalues h^2 + c L, c = dt * d and
+L = 4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny)
 (Strang, SIAM Rev. 41, 1999; Schumann & Sweet, J. Comput. Phys. 20, 1976).
 solve() uses that basis on every step; solve_cg() is the matrix-free
 conjugate-gradient method the paper describes, kept as the reference.
+
+solve() makes one forward and one inverse transform and no operator apply.
+With phi = c L / (h^2 + c L), A^-1 = (I - Q phi Q^T) / h^2, so
+x = rhs / h^2 - Q (phi / h^2) Q^T (rhs - s) for any shift s, as phi is 0 on
+the constant mode. The correction is A^-1 applied to the residual
+rhs - A (rhs / h^2), formed in spectral space; relative to x it is at most
+c L / h^2, so near the identity (dt ~ h^2) its rounding is far below that
+of rhs / h^2. With s = rhs[0] a constant rhs transforms an exact zero and
+is solved exactly. The factor grid -phi / h^2 is cached per operator.
 
 solve() never forms the n x n cosine matrix Q. Its columns are mirror
 symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a transform needs only its top
@@ -45,7 +53,7 @@ class NoConvergence(RuntimeError):
 
     Either CG did not reach the requested residual within max_iter, or the
     right-hand side is non-finite: then both solves raise at once with
-    iterations 0 and residual nan.
+    iterations 0 and residual nan (solve_cg also when ||rhs||^2 overflows).
     """
 
     def __init__(self, iterations: int, residual: float):
@@ -94,14 +102,12 @@ def apply(op: ImplicitDiffusionOperator, u: CellField) -> CellField:
     return CellField(op.mesh, _apply_values(op, u.values))
 
 
-def _check_rhs(op: ImplicitDiffusionOperator, rhs: CellField) -> float:
-    """rhs . rhs; raises at once on a mismatched mesh or non-finite rhs."""
+def _check_rhs(op: ImplicitDiffusionOperator, rhs: CellField) -> None:
+    """Raises at once on a mismatched mesh or a non-finite rhs value."""
     if not rhs.mesh.compatible(op.mesh):
         raise MeshMismatch("rhs mesh does not match operator mesh")
-    bb = float(np.dot(rhs.values, rhs.values))
-    if not math.isfinite(bb):
+    if not np.isfinite(rhs.values).all():
         raise NoConvergence(0, math.nan)
-    return bb
 
 
 @functools.lru_cache(maxsize=16)
@@ -139,6 +145,19 @@ def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(size), np.empty(size)
 
 
+@functools.lru_cache(maxsize=16)
+def _spectral_factor(ny: int, nx: int, h2: float, c: float) -> np.ndarray:
+    """-phi / h^2, phi = c L / (h^2 + c L), for the operator with c = dt * d
+    on an ny x nx mesh of spacing sqrt(h2): a read-only (2, 2, my, mx) array
+    in solve()'s coefficient order [row parity, column parity, row mode,
+    column mode], 0 on the constant mode and on pad modes."""
+    lam_y, lam_x = _folded_basis(ny)[1], _folded_basis(nx)[1]
+    cl = c * (lam_y[:, None, :, None] + lam_x[None, :, None, :])
+    f = -cl / (h2 + cl) / h2
+    f.setflags(write=False)
+    return f
+
+
 def _fold(v: np.ndarray, out: np.ndarray) -> None:
     """Butterfly along axis 0 of v (length n) into out (2, ceil(n/2), ...):
     out[0] = top + mirrored bottom, out[1] = top - mirrored bottom, with an
@@ -161,12 +180,12 @@ def _unfold(y: np.ndarray, out: np.ndarray) -> None:
 def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     """Solve A x = rhs exactly in the cosine eigenbasis.
 
-    Starts from x0 = rhs / h^2 and adds the eigenbasis solve of the residual
-    rhs - A x0, so constant right-hand sides stay exact. The residual is
-    folded by rows (its mirror symmetry splits it into the parts the even-k
-    and the odd-k basis columns see) and transformed by one stacked product
+    Returns rhs / h^2 plus the spectral correction described in the module
+    docstring, with the shift s = rhs[0]. The shifted values are folded by
+    rows (their mirror symmetry splits them into the parts the even-k and
+    the odd-k basis columns see) and transformed by one stacked product
     against the two half-size blocks, then likewise by columns. The
-    coefficients are divided by the eigenvalues in that permuted order and
+    coefficients are scaled by _spectral_factor in that permuted order and
     transformed back the same way; odd sizes carry one zero pad mode. Works
     in buffers cached per mesh shape, so it is not re-entrant across
     threads; the returned array is always new. Raises NoConvergence
@@ -176,32 +195,28 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     m = op.mesh
     ny, nx = m.ny, m.nx
     h2 = m.h ** 2
-    x = rhs.values / h2
-    r = _apply_values(op, x)
-    np.subtract(rhs.values, r, out=r)
-    by, lam_y = _folded_basis(ny)
-    bx, lam_x = _folded_basis(nx)
-    my, mx = lam_y.shape[1], lam_x.shape[1]
+    v = rhs.values
+    x = v / h2
+    by, bx = _folded_basis(ny)[0], _folded_basis(nx)[0]
+    my, mx = by.shape[1], bx.shape[1]
     a, b = _workspace(ny, nx)
     half = 2 * my * nx
     a2, b2 = a[:half].reshape(2, my, nx), b[:half].reshape(2, my, nx)
     # coefficient blocks, indexed [row parity, column parity]
     a4, b4 = a.reshape(2, 2, my, mx), b.reshape(2, 2, my, mx)
+    r = b[:m.n_cells].reshape(ny, nx)
+    np.subtract(v.reshape(ny, nx), v[0], out=r)
     # forward: fold and transform the rows, then the columns
-    _fold(r.reshape(ny, nx), a2)
+    _fold(r, a2)
     np.matmul(by.transpose(0, 2, 1), a2, out=b2)
     _fold(b2.transpose(2, 0, 1), a4.transpose(1, 3, 0, 2))
     np.matmul(a4, bx, out=b4)
-    # divide by the eigenvalue grid, in the same permuted order
-    np.add(lam_y[:, None, :, None], lam_x[None, :, None, :], out=a4)
-    a4 *= op.dt * op.d
-    a4 += h2
-    b4 /= a4
+    b4 *= _spectral_factor(ny, nx, h2, op.dt * op.d)
     # inverse: transform and unfold the columns, then the rows
     np.matmul(b4, bx.transpose(0, 2, 1), out=a4)
     _unfold(a4.transpose(1, 3, 0, 2), b2.transpose(2, 0, 1))
     np.matmul(by, b2, out=a2)
-    _unfold(a2, b[:m.n_cells].reshape(ny, nx))
+    _unfold(a2, r)
     x += b[:m.n_cells]
     return CellField(m, x)
 
@@ -212,15 +227,20 @@ def solve_cg(op: ImplicitDiffusionOperator, rhs: CellField, tol: float = 1e-10,
 
     Default initial guess rhs / h^2 (exact when rhs is constant). Raises
     NoConvergence with the iteration count and final relative residual, or
-    at once (0 iterations, nan residual) when rhs is non-finite.
+    at once (0 iterations, nan residual) when rhs is non-finite or
+    ||rhs||^2 overflows (values above ~1e154), since the stopping test
+    needs ||rhs||_2.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"need 0 < tol < 1, got {tol}")
     if max_iter < 1:
         raise ValueError(f"need max_iter >= 1, got {max_iter}")
-    bnorm = math.sqrt(_check_rhs(op, rhs))
-
+    _check_rhs(op, rhs)
     b = rhs.values
+    bb = float(np.dot(b, b))
+    if not math.isfinite(bb):
+        raise NoConvergence(0, math.nan)
+    bnorm = math.sqrt(bb)
     if x0 is None:
         x = b / op.mesh.h ** 2
     else:

@@ -94,9 +94,13 @@ def inner_h(w: CellField, phi: CellField) -> float:
 def _face_differences(w: CellField) -> np.ndarray:
     # w_L - w_K over interior faces in interior_faces() order: x faces,
     # then y faces, each row-major
-    g = w.values.reshape(w.mesh.ny, w.mesh.nx)
-    return np.concatenate([np.diff(g, axis=1).ravel(),
-                           np.diff(g, axis=0).ravel()])
+    m = w.mesh
+    g = w.values.reshape(m.ny, m.nx)
+    out = np.empty(m.n_faces)
+    k = m.ny * (m.nx - 1)
+    np.subtract(g[:, 1:], g[:, :-1], out=out[:k].reshape(m.ny, m.nx - 1))
+    np.subtract(g[1:], g[:-1], out=out[k:].reshape(m.ny - 1, m.nx))
+    return out
 
 
 def grad_form_h(w: CellField, phi: CellField) -> float:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gsfv import diffusion
 from gsfv.diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
                             solve, solve_cg)
 from gsfv.field import CellField, MeshMismatch, full
@@ -190,6 +192,18 @@ def test_non_finite_rhs_raises_at_once(solver, bad):
     assert math.isnan(ei.value.residual)
 
 
+def test_solve_accepts_huge_finite_rhs():
+    # rhs . rhs overflows above ~1e154; solve needs no norm of rhs
+    m = build_mesh(8, 8)
+    op = ImplicitDiffusionOperator(m, 1.0, 1.0)
+    g = np.random.default_rng(5).uniform(-1.0, 1.0, m.n_cells)
+    want = solve(op, CellField(m, g)).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solve(op, CellField(m, g * 1e156)).values / 1e156
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # Oracles for the eigenbasis solve. Tolerances are relative 2-norms: 1e-12
 # against dense elimination on the acceptance-07 meshes (condition numbers
 # up to ~130), 1e-10 against CG at tol=1e-13 (condition numbers up to ~8e3).
@@ -268,3 +282,56 @@ def test_solve_workspace_does_not_leak_between_calls():
     again = solve(op, b2)
     assert np.array_equal(again.values, want)
     assert not np.shares_memory(again.values, second.values)
+
+
+@pytest.mark.parametrize("nx, ny", [(128, 128), (127, 127), (37, 5)])
+def test_solve_near_identity_residual(nx, ny):
+    # at dt = h^2 the correction to rhs / h^2 is ~1e-4 of it; transforming
+    # rhs itself instead of its spectral residual leaves ~4e-15 here
+    m = build_mesh(nx, ny, 1.0, ny / nx)
+    op = ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)
+    b = np.random.default_rng(nx * ny).uniform(0.0, 1.0, m.n_cells)
+    x = solve(op, CellField(m, b))
+    r = apply(op, x).values - b
+    assert np.linalg.norm(r) <= 1e-15 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dt_rule", ["1", "h^2"])
+def test_solve_large_first_cell_agrees_with_cg(dt_rule):
+    # the shift s = rhs[0] is then 1e6 times the rest of rhs
+    m = build_mesh(64, 64)
+    op = ImplicitDiffusionOperator(m, 1.6e-5, 1.0 if dt_rule == "1" else m.h ** 2)
+    b = np.random.default_rng(2).uniform(0.0, 1.0, m.n_cells)
+    b[0] = 1e6 * b[1:].max()
+    rhs = CellField(m, b)
+    want = solve_cg(op, rhs, tol=1e-13).values
+    got = solve(op, rhs).values
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solve_factor_cache_keyed_per_operator():
+    # two species at the pattern step and one at the ladder step share a mesh
+    m = build_mesh(24, 24)
+    ops = [ImplicitDiffusionOperator(m, 1.6e-5, 1.0),
+           ImplicitDiffusionOperator(m, 0.8e-5, 1.0),
+           ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)]
+    rhs = CellField(m, np.random.default_rng(9).uniform(0.0, 1.0, m.n_cells))
+    first = []
+    for op in ops:
+        diffusion._spectral_factor.cache_clear()
+        first.append(solve(op, rhs).values)
+    for _ in range(2):
+        for op, want in zip(ops, first):
+            assert np.array_equal(solve(op, rhs).values, want)
+
+
+def test_solve_cached_arrays_read_only():
+    m = build_mesh(6, 5, 1.0, 5 / 6)
+    op = ImplicitDiffusionOperator(m, 0.5, 0.1)
+    solve(op, full(m, 1.0))
+    factor = diffusion._spectral_factor(m.ny, m.nx, m.h ** 2, op.dt * op.d)
+    blocks, lam = diffusion._folded_basis(m.nx)
+    for arr in (factor, blocks, lam):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
