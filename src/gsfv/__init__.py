@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .mesh import (IndexOutOfRange, InvalidSize, NonSquareCells, UniformMesh,
-                   build_mesh, cell_center)
+from .mesh import InvalidSize, UniformMesh, build_mesh
 from .field import (CellField, MeshMismatch, full, project, inner_h,
                     grad_form_h, norm_l2_h, norm_linf, seminorm_h1_h)
 from .diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
@@ -21,8 +20,7 @@ from .cli import (IoFailure, RunManifest, read_field_csv, write_error_table,
                   write_field_snapshot)
 
 __all__ = [
-    "IndexOutOfRange", "InvalidSize", "NonSquareCells", "UniformMesh",
-    "build_mesh", "cell_center",
+    "InvalidSize", "UniformMesh", "build_mesh",
     "CellField", "MeshMismatch", "full", "project", "inner_h", "grad_form_h",
     "norm_l2_h", "norm_linf", "seminorm_h1_h",
     "ImplicitDiffusionOperator", "NoConvergence", "apply", "solve",

@@ -27,7 +27,7 @@ from . import __version__
 from .diffusion import NoConvergence
 from .field import CellField
 from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
-from .mesh import InvalidSize, NonSquareCells, build_mesh
+from .mesh import InvalidSize, build_mesh
 from .mms import (DomainError, ErrorTable, SampleTimeUnreachable,
                   UnresolvableInterface, convergence_study, interface_study,
                   residual_check, stability_study, tanh_case, trig_case,
@@ -244,9 +244,9 @@ def _cmd_simulate(args) -> int:
     out = _opt(args, cfg, "out", None)
     if out is None:
         raise ValueError("simulate needs --out")
+    mesh = build_mesh(nx, nx)  # raises InvalidSize before out is created
     _ensure_out_dir(out)
 
-    mesh = build_mesh(nx, nx)
     snaps, report = run_pattern(pat, mesh, dt=dt, d_u=d_u, d_v=d_v,
                                 t_end=t_end, snapshot_times=snap_times)
 
@@ -304,11 +304,11 @@ def _read_convergence(args, cfg: dict, params: GrayScottParams):
 def _read_stability(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     nx = int(_opt(args, cfg, "nx", 128))
-    h = build_mesh(nx, nx).h  # raises InvalidSize for nx < 2
+    mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
     ks = _floats(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
 
     def study(T, samples):
-        return stability_study(case, params, ks, h=h, T=T,
+        return stability_study(case, params, ks, mesh, T=T,
                                sample_times=samples)
 
     fname = f"stability_{case.label.split('_')[0]}.csv"
@@ -318,11 +318,12 @@ def _read_stability(args, cfg: dict, params: GrayScottParams):
 def _read_interface(args, cfg: dict, params: GrayScottParams):
     eps_list = _floats(_opt(args, cfg, "eps_list", "0.2,0.1,0.05,0.025"))
     nx = int(_opt(args, cfg, "nx", 128))
+    mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
     dt = float(_opt(args, cfg, "dt", 1.0 / 256.0))
     variant = _opt(args, cfg, "variant", "centered")
 
     def study(T, samples):
-        return interface_study(params, eps_list, build_mesh(nx, nx), dt, T=T,
+        return interface_study(params, eps_list, mesh, dt, T=T,
                                variant=variant, sample_times=samples)
 
     echo = {"eps_list": eps_list, "nx": nx, "dt": dt}
@@ -488,8 +489,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (UnknownPreset, DomainError, SampleTimeUnreachable,
-            UnresolvableInterface, InvalidSize, NonSquareCells,
-            ValueError) as e:
+            UnresolvableInterface, InvalidSize, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

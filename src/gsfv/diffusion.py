@@ -73,9 +73,9 @@ class ImplicitDiffusionOperator:
     dt: float
 
     def __post_init__(self):
-        if self.d <= 0.0:
+        if not self.d > 0.0:
             raise ValueError(f"need d > 0, got {self.d}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"need dt > 0, got {self.dt}")
 
 
@@ -222,10 +222,10 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
 
 
 def solve_cg(op: ImplicitDiffusionOperator, rhs: CellField, tol: float = 1e-10,
-             max_iter: int = 1000, x0: CellField | None = None) -> CellField:
+             max_iter: int = 1000) -> CellField:
     """Solve A x = rhs by CG to ||A x - rhs||_2 <= tol * ||rhs||_2.
 
-    Default initial guess rhs / h^2 (exact when rhs is constant). Raises
+    The initial guess is rhs / h^2 (exact when rhs is constant). Raises
     NoConvergence with the iteration count and final relative residual, or
     at once (0 iterations, nan residual) when rhs is non-finite or
     ||rhs||^2 overflows (values above ~1e154), since the stopping test
@@ -241,10 +241,7 @@ def solve_cg(op: ImplicitDiffusionOperator, rhs: CellField, tol: float = 1e-10,
     if not math.isfinite(bb):
         raise NoConvergence(0, math.nan)
     bnorm = math.sqrt(bb)
-    if x0 is None:
-        x = b / op.mesh.h ** 2
-    else:
-        x = x0.values.copy()
+    x = b / op.mesh.h ** 2
     if bnorm == 0.0:
         return CellField(op.mesh, np.zeros_like(b))
     threshold = tol * bnorm

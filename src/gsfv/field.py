@@ -56,27 +56,18 @@ _GAUSS3 = (
 )
 
 
-def project(mesh: UniformMesh, f, quad_order: int = 1) -> CellField:
-    """Project f(x, y) to cell values by quadrature over each cell.
-
-    quad_order=1 is the midpoint rule (evaluation at cell centers);
-    quad_order=3 is the tensor 3x3 Gauss rule, exact for cell averages of
-    polynomials up to total degree 5. f may return a scalar or an array
-    broadcast against the coordinate grids.
+def project(mesh: UniformMesh, f) -> CellField:
+    """Project f(x, y) to cell averages with the tensor 3x3 Gauss rule,
+    exact for polynomials up to total degree 5. f may return a scalar or an
+    array broadcast against the coordinate grids.
     """
     X, Y = mesh.xc, mesh.yc
-    if quad_order == 1:
-        out = np.empty_like(X)
-        out[...] = f(X, Y)
-    elif quad_order == 3:
-        out = np.zeros_like(X)
-        h = mesh.h
-        for xi_a, w_a in _GAUSS3:
-            for xi_b, w_b in _GAUSS3:
-                out += (w_a * w_b) * np.asarray(
-                    f(X + xi_a * h, Y + xi_b * h), dtype=np.float64)
-    else:
-        raise ValueError(f"quad_order must be 1 or 3, got {quad_order}")
+    h = mesh.h
+    out = np.zeros_like(X)
+    for xi_a, w_a in _GAUSS3:
+        for xi_b, w_b in _GAUSS3:
+            out += (w_a * w_b) * np.asarray(
+                f(X + xi_a * h, Y + xi_b * h), dtype=np.float64)
     return CellField(mesh, out)
 
 

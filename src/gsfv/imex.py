@@ -32,10 +32,10 @@ class GrayScottParams:
     k: float
 
     def __post_init__(self):
-        if self.d_u <= 0.0 or self.d_v <= 0.0:
+        if not (self.d_u > 0.0 and self.d_v > 0.0):
             raise ValueError(f"need positive diffusivities, got "
                              f"d_u={self.d_u}, d_v={self.d_v}")
-        if self.F < 0.0 or self.k < 0.0:
+        if not (self.F >= 0.0 and self.k >= 0.0):
             raise ValueError(f"need F, k >= 0, got F={self.F}, k={self.k}")
 
 
@@ -90,9 +90,9 @@ class RunConfig:
     bound_tolerance: float = BOUND_TOLERANCE
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"need dt > 0, got {self.dt}")
-        if self.bound_tolerance < 0.0:
+        if not self.bound_tolerance >= 0.0:
             raise ValueError("bound_tolerance must be non-negative")
 
 
@@ -156,7 +156,7 @@ def step(state: SimState, params: GrayScottParams, dt: float,
     evaluated at the old time. A non-finite right-hand side raises
     NonFiniteState.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
     mesh = state.u.mesh
     h2 = mesh.h ** 2
@@ -200,7 +200,7 @@ def run(initial: SimState, params: GrayScottParams, config: RunConfig,
     called after every step and must not mutate the state.
     """
     span = config.T - initial.t
-    if span <= 0.0:
+    if not span > 0.0:
         raise ValueError(f"terminal time {config.T} not ahead of "
                          f"state time {initial.t}")
     ratio = span / config.dt

@@ -153,7 +153,7 @@ def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
       "halfwave": r = cos(pi x) + cos(pi y)
     Both have vanishing normal derivative on the unit-square boundary.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"need eps > 0, got {eps}")
     if not isinstance(variant, str) or variant not in _TANH_VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
@@ -306,8 +306,8 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
     """
     times = _validate_samples(sample_times, T)
     t_start = time.perf_counter()
-    u0 = project(mesh, lambda x, y: case.u_star(0.0, x, y), quad_order=3)
-    v0 = project(mesh, lambda x, y: case.v_star(0.0, x, y), quad_order=3)
+    u0 = project(mesh, lambda x, y: case.u_star(0.0, x, y))
+    v0 = project(mesh, lambda x, y: case.v_star(0.0, x, y))
     state = SimState(0, 0.0, u0, v0)
     sources = (case.S_u, case.S_v)
     e_l2_u = e_l2_v = e_li_u = e_li_v = 0.0
@@ -315,8 +315,8 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
         if ts > state.t + 1e-14:
             cfg = RunConfig(dt=dt, T=ts, monitors=False)
             state, _ = run(state, params, cfg, sources=sources)
-        ex_u = project(mesh, lambda x, y: case.u_star(ts, x, y), quad_order=3)
-        ex_v = project(mesh, lambda x, y: case.v_star(ts, x, y), quad_order=3)
+        ex_u = project(mesh, lambda x, y: case.u_star(ts, x, y))
+        ex_v = project(mesh, lambda x, y: case.v_star(ts, x, y))
         du = CellField(mesh, state.u.values - ex_u.values)
         dv = CellField(mesh, state.v.values - ex_v.values)
         e_l2_u = max(e_l2_u, norm_l2_h(du))
@@ -374,7 +374,7 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
 
 
 def stability_study(case: ManufacturedCase, params: GrayScottParams,
-                    multipliers, h: float = 1.0 / 128.0, T: float = 1.0,
+                    multipliers, mesh: UniformMesh, T: float = 1.0,
                     sample_times=None) -> ErrorTable:
     """Fixed mesh, dt = k*h for each multiplier k.
 
@@ -382,11 +382,9 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
     shortened (which would silently change the dt under test); defaults to
     {T/2, T}. Orders are slopes vs dt.
     """
-    nx = round(1.0 / h)
-    if abs(nx * h - 1.0) > 1e-12:
-        raise ValueError(f"1/h must be an integer mesh size, got h={h}")
+    h = mesh.h
     ks = [float(k) for k in multipliers]
-    if any(k <= 0 for k in ks):
+    if any(not k > 0 for k in ks):
         raise ValueError(f"multipliers must be positive, got {ks}")
     samples = sample_times if sample_times is not None else [T / 2.0, T]
     for k in ks:
@@ -396,8 +394,6 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
             if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
                 raise SampleTimeUnreachable(
                     f"sample {s} is not a multiple of dt={dt} (k={k})")
-
-    mesh = build_mesh(nx, nx)
 
     def row_for(k: float) -> ErrorRow:
         # a blown-up run is a data point (NaN errors), not a crash

@@ -11,13 +11,16 @@ import sys
 import numpy as np
 import pytest
 
+import gsfv
 from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, _build_parser,
                       main, read_field_csv, write_error_table,
                       write_field_snapshot)
-from gsfv.field import CellField, full
+from gsfv.diffusion import solve_cg
+from gsfv.field import CellField, full, project
 from gsfv.imex import RunConfig
 from gsfv.mesh import build_mesh
-from gsfv.mms import ErrorRow, ErrorTable, interface_study, tanh_case
+from gsfv.mms import (ErrorRow, ErrorTable, interface_study, stability_study,
+                      tanh_case)
 from gsfv.patterns import run_pattern
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -40,7 +43,7 @@ def read_pgm(path):
 
 
 def test_pgm_constant_extremes(tmp_path):
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
     p1 = tmp_path / "one.pgm"
     write_field_snapshot(full(m, 1.0), str(p1))
     comment, pix = read_pgm(p1)
@@ -54,7 +57,7 @@ def test_pgm_constant_extremes(tmp_path):
 
 
 def test_pgm_clips_and_orients(tmp_path):
-    m = build_mesh(2, 2, 1.0, 1.0)
+    m = build_mesh(2, 2)
     f = CellField(m, np.array([2.0, -1.0, 0.0, 1.0]))
     path = tmp_path / "f.pgm"
     write_field_snapshot(f, str(path))
@@ -66,7 +69,7 @@ def test_pgm_clips_and_orients(tmp_path):
 
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
-    m = build_mesh(5, 3, 5.0, 3.0)
+    m = build_mesh(5, 3)
     f = CellField(m, rng.uniform(-1, 1, 15))
     path = tmp_path / "f.csv"
     write_field_snapshot(f, str(path), fmt="csv")
@@ -76,7 +79,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
 
 
 def test_snapshot_write_failure(tmp_path):
-    m = build_mesh(2, 2, 1.0, 1.0)
+    m = build_mesh(2, 2)
     with pytest.raises(IoFailure):
         write_field_snapshot(full(m, 1.0),
                              str(tmp_path / "no" / "such" / "dir.pgm"))
@@ -155,6 +158,39 @@ def test_stability_rejects_too_small_nx(tmp_path, capsys, nx):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: need nx, ny >= 2")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--preset", "labyrinthine"], ["mms", "interface"]])
+def test_too_small_nx_leaves_no_output(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    rc = main(command + ["--nx", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: need nx, ny >= 2")
+    assert not out.exists()
+
+
+def test_simulate_zero_dt_is_a_usage_error(tmp_path, src_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsfv", "simulate", "--preset", "labyrinthine",
+         "--nx", "8", "--dt", "0", "--t-end", "2", "--out",
+         str(tmp_path / "sim")],
+        env=src_env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: need dt > 0")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, message", [
+    (["simulate", "--preset", "labyrinthine", "--nx", "8", "--t-end", "2",
+      "--d-u", "nan"], "need positive diffusivities"),
+    (["mms", "stability", "--nx", "8", "--F", "nan"], "need F, k >= 0"),
+    (["mms", "interface", "--nx", "32", "--eps-list", "0.2", "--dt", "nan"],
+     "need dt > 0")])
+def test_nan_parameter_is_a_usage_error(tmp_path, capsys, command, message):
+    rc = main(command + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_python_m_gsfv_help_is_clean(src_env):
@@ -300,6 +336,13 @@ def test_library_option_surface():
     assert params(run_pattern) == [
         "pat", "mesh", "dt", "d_u", "d_v", "t_end", "snapshot_times"]
     assert params(write_field_snapshot) == ["field", "path", "fmt"]
+    assert params(build_mesh) == ["nx", "ny"]
+    assert params(project) == ["mesh", "f"]
+    assert params(solve_cg) == ["op", "rhs", "tol", "max_iter"]
+    assert params(stability_study) == [
+        "case", "params", "multipliers", "mesh", "T", "sample_times"]
+    for gone in ("cell_center", "NonSquareCells", "IndexOutOfRange"):
+        assert not hasattr(gsfv, gone) and gone not in gsfv.__all__
 
 
 def test_readme_commands_parse():

@@ -23,32 +23,26 @@ def field_on(mesh, draw_vals):
 def mesh_and_fields(draw, n_fields=2, max_n=6):
     nx = draw(st.integers(2, max_n))
     ny = draw(st.integers(2, max_n))
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     fs = [field_on(m, draw(st.lists(finite_vals, min_size=m.n_cells,
                                     max_size=m.n_cells)))
           for _ in range(n_fields)]
     return m, fs
 
 
-@given(c=finite_vals, order=st.sampled_from([1, 3]))
-def test_project_constant(c, order):
-    m = build_mesh(3, 3, 1.0, 1.0)
-    P = project(m, lambda x, y: np.full_like(x, c), quad_order=order)
+@given(c=finite_vals)
+def test_project_constant(c):
+    m = build_mesh(3, 3)
+    P = project(m, lambda x, y: np.full_like(x, c))
     assert np.allclose(P.values, c, rtol=0, atol=1e-13 * (1 + abs(c)))
-
-
-def test_project_linear_midpoint():
-    m = build_mesh(4, 4, 1.0, 1.0)
-    P = project(m, lambda x, y: x, quad_order=1)
-    assert P.values[0] == 0.125
 
 
 def test_project_cosine_gauss_cell0():
     # cell average of cos(2*pi*x) over [0, 1/4] is 2/pi; the 3x3 rule's
     # own error on that cell is ~5.2e-6, so the match is at that level
     # and the sharp check is against the rule applied independently
-    m = build_mesh(4, 4, 1.0, 1.0)
-    val = project(m, lambda x, y: np.cos(2 * np.pi * x), quad_order=3).values[0]
+    m = build_mesh(4, 4)
+    val = project(m, lambda x, y: np.cos(2 * np.pi * x)).values[0]
     assert abs(val - 2 / np.pi) <= 1e-5
     nodes, weights = np.polynomial.legendre.leggauss(3)
     ref = sum(w / 2 * np.cos(2 * np.pi * (0.125 + t / 2 * 0.25))
@@ -65,8 +59,8 @@ def test_project_gauss_exact_to_degree_5(coeffs):
     def poly(x, y):
         return sum(c * x ** i * y ** j for c, (i, j) in zip(coeffs, terms))
 
-    m = build_mesh(4, 4, 1.0, 1.0)
-    P = project(m, poly, quad_order=3)
+    m = build_mesh(4, 4)
+    P = project(m, poly)
 
     def mono_avg(i, a, b):  # cell average of t^i over [a, b]
         return (b ** (i + 1) - a ** (i + 1)) / ((i + 1) * (b - a))
@@ -88,8 +82,8 @@ def test_interpolant_l2_error_first_order():
     f = lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
     errs, hs = [], []
     for nx in (8, 16, 32, 64):
-        m = build_mesh(nx, nx, 1.0, 1.0)
-        P = project(m, f, quad_order=3).values
+        m = build_mesh(nx, nx)
+        P = project(m, f).values
         acc = np.zeros_like(P)
         for ox, wx in QP:
             for oy, wy in QP:
@@ -101,18 +95,18 @@ def test_interpolant_l2_error_first_order():
 
 
 def test_inner_h_examples():
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
     one = full(m, 1.0)
     assert inner_h(one, one) == 1.0
-    m2 = build_mesh(2, 2, 1.0, 1.0)
+    m2 = build_mesh(2, 2)
     assert inner_h(full(m2, 2.0), full(m2, 3.0)) == 6.0
     e0 = CellField(m, np.eye(16)[0])
     assert inner_h(e0, e0) == 0.0625
 
 
 def test_inner_h_mesh_mismatch():
-    a = full(build_mesh(4, 4, 1.0, 1.0), 1.0)
-    b = full(build_mesh(8, 8, 1.0, 1.0), 1.0)
+    a = full(build_mesh(4, 4), 1.0)
+    b = full(build_mesh(8, 8), 1.0)
     with pytest.raises(MeshMismatch):
         inner_h(a, b)
     with pytest.raises(MeshMismatch):
@@ -120,7 +114,7 @@ def test_inner_h_mesh_mismatch():
 
 
 def test_grad_form_examples():
-    m = build_mesh(2, 2, 1.0, 1.0)
+    m = build_mesh(2, 2)
     e0 = CellField(m, np.array([1.0, 0.0, 0.0, 0.0]))
     assert grad_form_h(e0, e0) == 2.0
     cols = CellField(m, np.array([0.0, 1.0, 0.0, 1.0]))
@@ -158,14 +152,24 @@ def test_bilinearity(mf, a):
     assert abs(lhs_g - rhs_g) <= 1e-12 * scale_g
 
 
+def tiny_field(nx, ny, cells):
+    """A field holding the smallest normal double in the given cells."""
+    m = build_mesh(nx, ny)
+    v = np.zeros(m.n_cells)
+    v[cells] = 2.2250738585072014e-308
+    return m, [CellField(m, v)]
+
+
 @given(mf=mesh_and_fields(n_fields=1))
+@example(mf=tiny_field(2, 2, slice(None)))
+@example(mf=tiny_field(3, 2, 2))
 def test_positivity(mf):
     m, (w,) = mf
     assert inner_h(w, w) >= 0.0
     assert grad_form_h(w, w) >= 0.0
-    if np.any(w.values != w.values[0]):
-        assert inner_h(w, w) > 0.0 or np.all(w.values == 0.0)
-    if np.any(w.values != 0.0):
+    # h^2 w_K^2 underflows to 0 for tiny w; from 1e-150 up it stays a normal
+    # double for every h >= 1/6 the strategy draws, so the sum is positive
+    if np.max(np.abs(w.values)) >= 1e-150:
         assert inner_h(w, w) > 0.0
 
 
@@ -175,7 +179,7 @@ def test_positivity(mf):
 @example(nx=12, ny=2, seed=1)
 def test_grad_form_matches_face_list(nx, ny, seed):
     # the structured stencil against the face-by-face definition
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     rng = np.random.default_rng(seed)
     w = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
     phi = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
@@ -189,20 +193,20 @@ def test_grad_form_matches_face_list(nx, ny, seed):
 @pytest.mark.parametrize("nx, ny", [(3, 7), (128, 128), (512, 512)])
 def test_grad_form_self_bit_identical(nx, ny):
     # grad_form_h(w, w) reuses one set of face differences
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     w = CellField(m, np.random.default_rng(nx).uniform(-1.0, 1.0, m.n_cells))
     assert grad_form_h(w, w) == grad_form_h(w, w.copy())
 
 
 def test_grad_form_positive_on_nonconstant():
-    m = build_mesh(3, 3, 1.0, 1.0)
+    m = build_mesh(3, 3)
     vals = np.zeros(9)
     vals[4] = 1.0
     assert grad_form_h(CellField(m, vals), CellField(m, vals)) > 0.0
 
 
 def test_norms_examples():
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
     one = full(m, 1.0)
     assert norm_l2_h(one) == 1.0
     assert norm_linf(one) == 1.0
@@ -212,7 +216,7 @@ def test_norms_examples():
 
 
 def test_field_validation():
-    m = build_mesh(2, 2, 1.0, 1.0)
+    m = build_mesh(2, 2)
     with pytest.raises(ValueError):
         CellField(m, np.zeros(5))
     f = CellField(m, np.zeros(4))

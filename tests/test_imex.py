@@ -36,17 +36,17 @@ def test_reaction_f_at_depleted_u(F):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        GrayScottParams(0.0, 1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        GrayScottParams(1.0, -1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        GrayScottParams(1.0, 1.0, -0.1, 0.1)
+    for bad in ((0.0, 1.0, 0.1, 0.1), (1.0, -1.0, 0.1, 0.1),
+                (1.0, 1.0, -0.1, 0.1), (math.nan, 1.0, 0.1, 0.1),
+                (1.0, math.nan, 0.1, 0.1), (1.0, 1.0, math.nan, 0.1),
+                (1.0, 1.0, 0.1, math.nan)):
+        with pytest.raises(ValueError):
+            GrayScottParams(*bad)
     GrayScottParams(1.0, 0.5, 0.0, 0.0)  # zero kinetics allowed
 
 
 def test_step_preserves_steady_state_exactly():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     s1 = step(uniform_state(m, 1.0, 0.0), LAB, dt=1.0)
     assert np.array_equal(s1.u.values, np.ones(64))
     assert np.array_equal(s1.v.values, np.zeros(64))
@@ -55,7 +55,7 @@ def test_step_preserves_steady_state_exactly():
 def test_step_uniform_reduces_to_kinetics():
     # power-of-two h makes the h^2 scalings exact, so the kinetics-only
     # update is reproduced bit for bit
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     s1 = step(uniform_state(m, 0.5, 0.25), LAB, dt=1.0)
     assert np.all(s1.u.values == 0.48725)
     assert np.all(s1.v.values == 0.257)
@@ -63,15 +63,25 @@ def test_step_uniform_reduces_to_kinetics():
 
 
 def test_step_rejects_bad_dt():
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            step(uniform_state(m, 1.0, 0.0), LAB, dt=dt)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"dt": 0.0}, {"dt": -1.0}, {"dt": math.nan},
+    {"dt": 1.0, "bound_tolerance": -1e-12},
+    {"dt": 1.0, "bound_tolerance": math.nan}])
+def test_run_config_validation(kwargs):
     with pytest.raises(ValueError):
-        step(uniform_state(m, 1.0, 0.0), LAB, dt=0.0)
+        RunConfig(T=1.0, **kwargs)
 
 
 def test_pure_diffusion_conserves_mass():
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     params = GrayScottParams(1e-2, 1e-2, 0.0, 0.0)
-    u0 = project(m, lambda x, y: 0.5 + 0.4 * np.cos(np.pi * x), quad_order=1)
+    u0 = project(m, lambda x, y: 0.5 + 0.4 * np.cos(np.pi * x))
     state = SimState(0, 0.0, u0, full(m, 0.0))
     mass0 = m.h ** 2 * float(np.sum(state.u.values))
     for _ in range(10):
@@ -83,7 +93,7 @@ def test_pure_diffusion_conserves_mass():
 @given(u0=unit, v0=unit, dt=st.floats(0.01, 2.0, allow_nan=False))
 def test_mass_identity_single_step(u0, v0, dt):
     # diffusion fluxes telescope: the mass change equals dt * total kinetics
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     s0 = uniform_state(m, u0, v0)
     s1 = step(s0, LAB, dt=dt)
     dm = m.h ** 2 * float(np.sum(s1.u.values - s0.u.values))
@@ -93,7 +103,7 @@ def test_mass_identity_single_step(u0, v0, dt):
 
 
 def test_step_deterministic():
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     u0, v0 = pattern_initial_condition(m)
     a = step(SimState(0, 0.0, u0, v0), LAB, dt=1.0)
     b = step(SimState(0, 0.0, u0.copy(), v0.copy()), LAB, dt=1.0)
@@ -136,7 +146,7 @@ def test_step_bits_independent_of_blas_threads(src_env):
 
 
 def test_run_steady_three_steps():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     cfg = RunConfig(dt=0.5, T=1.5)
     final, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg)
     assert rep.steps == 3
@@ -149,7 +159,7 @@ def test_run_steady_three_steps():
 
 
 def test_run_shortened_final_step():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     cfg = RunConfig(dt=1.0, T=2.5)
     final, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg)
     assert rep.steps == 3
@@ -158,13 +168,14 @@ def test_run_shortened_final_step():
 
 
 def test_run_rejects_non_advancing():
-    m = build_mesh(8, 8, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=1.0, T=0.0))
+    m = build_mesh(8, 8)
+    for T in (0.0, math.nan):
+        with pytest.raises(ValueError, match="not ahead of"):
+            run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=1.0, T=T))
 
 
 def test_run_observers_called_each_step():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     seen = []
     run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=0.25, T=1.0),
         observers=[lambda s: seen.append((s.n, s.t))])
@@ -172,7 +183,7 @@ def test_run_observers_called_each_step():
 
 
 def test_monitor_flags_out_of_band_state():
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
     cfg = RunConfig(dt=1.0, T=1.0)
     rep = MonitorReport()
     bad = SimState(0, 0.0, full(m, 1.0 + 1e-6), full(m, 0.0))
@@ -185,7 +196,7 @@ def test_monitor_flags_out_of_band_state():
 
 
 def test_monitors_off():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     cfg = RunConfig(dt=0.5, T=1.0, monitors=False)
     _, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg)
     assert rep.steps == 2
@@ -195,7 +206,7 @@ def test_monitors_off():
 
 
 def test_dissipation_monotone_on_pattern_run():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     u0, v0 = pattern_initial_condition(m)
     cfg = RunConfig(dt=1.0, T=20.0)
     _, rep = run(SimState(0, 0.0, u0, v0), LAB, cfg)
@@ -208,7 +219,7 @@ def test_dissipation_monotone_on_pattern_run():
 
 def test_large_dt_stays_finite():
     # semi-implicit diffusion has no step-size restriction; dt = 64 h
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     u0, v0 = pattern_initial_condition(m)
     state = SimState(0, 0.0, u0, v0)
     for _ in range(5):
@@ -217,7 +228,7 @@ def test_large_dt_stays_finite():
 
 
 def test_sources_sampled_at_old_time():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     seen = []
 
     def S(t, x, y):
@@ -233,7 +244,7 @@ def test_sources_sampled_at_old_time():
 @pytest.mark.parametrize("where, species", [
     ("v cell", "v"), ("u cell", "u"), ("S_u", "u"), ("S_v", "v")])
 def test_non_finite_state_names_step_time_species(where, species):
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     u0, v0 = pattern_initial_condition(m)
     if where == "v cell":
         v0.values[37] = math.nan

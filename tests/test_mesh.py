@@ -2,73 +2,55 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gsfv.mesh import (IndexOutOfRange, InvalidSize, NonSquareCells,
-                       build_mesh, cell_center)
+from gsfv.mesh import InvalidSize, build_mesh
 
 sizes = st.integers(min_value=2, max_value=12)
 
 
 def test_build_4x4_counts():
-    m = build_mesh(4, 4, 1.0, 1.0)
+    m = build_mesh(4, 4)
     assert m.h == 0.25
     assert m.n_cells == 16
     assert m.n_faces == 24
 
 
 def test_build_128_h():
-    m = build_mesh(128, 128, 1.0, 1.0)
+    m = build_mesh(128, 128)
     assert m.h == 0.0078125
-
-
-def test_build_rejects_non_square_cells():
-    with pytest.raises(NonSquareCells):
-        build_mesh(4, 2, 1.0, 1.0)
 
 
 def test_build_rejects_small_sizes():
     with pytest.raises(InvalidSize):
-        build_mesh(1, 4, 1.0, 1.0)
+        build_mesh(1, 4)
     with pytest.raises(InvalidSize):
-        build_mesh(4, 1, 1.0, 1.0)
+        build_mesh(4, 1)
 
 
 def test_rectangle_with_square_cells_ok():
-    m = build_mesh(4, 2, 2.0, 1.0)
-    assert m.h == 0.5
+    # the longer side spans [0, 1]
+    m = build_mesh(4, 2)
+    assert m.h == 0.25
     assert m.n_cells == 8
 
 
 def test_cell_center_examples():
-    m = build_mesh(4, 4, 1.0, 1.0)
-    assert cell_center(m, 0) == (0.125, 0.125)
-    assert cell_center(m, 5) == (0.375, 0.375)
-    m2 = build_mesh(2, 2, 1.0, 1.0)
-    assert cell_center(m2, 3) == (0.75, 0.75)
-
-
-def test_cell_center_out_of_range():
-    m = build_mesh(4, 4, 1.0, 1.0)
-    with pytest.raises(IndexOutOfRange):
-        cell_center(m, 16)
-    with pytest.raises(IndexOutOfRange):
-        cell_center(m, -1)
-
-
-def test_origin_shift():
-    m = build_mesh(2, 2, 1.0, 1.0, origin=(3.0, -1.0))
-    assert cell_center(m, 0) == (3.25, -0.75)
+    m = build_mesh(4, 4)
+    assert (m.xc[0], m.yc[0]) == (0.125, 0.125)
+    assert (m.xc[5], m.yc[5]) == (0.375, 0.375)
+    m2 = build_mesh(2, 2)
+    assert (m2.xc[3], m2.yc[3]) == (0.75, 0.75)
 
 
 @given(nx=sizes, ny=sizes)
 def test_face_count_formula(nx, ny):
-    m = build_mesh(nx, ny, nx * 0.5, ny * 0.5)
+    m = build_mesh(nx, ny)
     assert m.n_faces == nx * (ny - 1) + ny * (nx - 1)
     assert len(m.interior_faces()) == m.n_faces
 
 
 @given(nx=sizes, ny=sizes)
 def test_faces_join_axis_neighbors_with_unit_tau(nx, ny):
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     for K, L, tau in m.interior_faces():
         assert tau == 1.0
         assert L - K in (1, nx)
@@ -78,7 +60,7 @@ def test_faces_join_axis_neighbors_with_unit_tau(nx, ny):
 
 @given(nx=sizes, ny=sizes)
 def test_face_ordering_x_then_y(nx, ny):
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     faces = m.interior_faces()
     n_xf = ny * (nx - 1)
     assert all(L - K == 1 for K, L, _ in faces[:n_xf])
@@ -87,7 +69,7 @@ def test_face_ordering_x_then_y(nx, ny):
 
 @given(nx=sizes, ny=sizes)
 def test_incidence_counts(nx, ny):
-    m = build_mesh(nx, ny, float(nx), float(ny))
+    m = build_mesh(nx, ny)
     deg = np.zeros(m.n_cells, dtype=int)
     for K, L, _ in m.interior_faces():
         deg[K] += 1
@@ -105,34 +87,35 @@ def test_incidence_counts(nx, ny):
 
 @given(nx=sizes, ny=sizes)
 def test_total_area(nx, ny):
-    Lx, Ly = nx * 0.25, ny * 0.25
-    m = build_mesh(nx, ny, Lx, Ly)
+    m = build_mesh(nx, ny)
+    assert m.h == 1.0 / max(nx, ny)
+    Lx, Ly = nx * m.h, ny * m.h
+    assert max(Lx, Ly) == 1.0
     assert m.h ** 2 * m.n_cells == pytest.approx(Lx * Ly, rel=1e-15)
 
 
-@given(nx=sizes, ny=sizes, k=st.integers(min_value=0, max_value=143))
-def test_cell_center_formula(nx, ny, k):
-    m = build_mesh(nx, ny, float(nx), float(ny))
-    if k >= m.n_cells:
-        with pytest.raises(IndexOutOfRange):
-            cell_center(m, k)
-        return
-    x, y = cell_center(m, k)
+@given(nx=sizes, ny=sizes)
+def test_cell_center_formula(nx, ny):
+    # row-major with x fastest: cell k = j*nx + i sits at ((i+1/2)h, (j+1/2)h)
+    m = build_mesh(nx, ny)
+    assert m.xc.shape == m.yc.shape == (m.n_cells,)
+    k = np.arange(m.n_cells)
     i, j = k % nx, k // nx
-    assert x == pytest.approx((i + 0.5) * m.h, abs=1e-15)
-    assert y == pytest.approx((j + 0.5) * m.h, abs=1e-15)
+    assert np.array_equal(m.xc, (i + 0.5) * m.h)
+    assert np.array_equal(m.yc, (j + 0.5) * m.h)
 
 
 def test_compatible():
-    a = build_mesh(4, 4, 1.0, 1.0)
-    b = build_mesh(4, 4, 1.0, 1.0)
-    c = build_mesh(8, 8, 1.0, 1.0)
+    a = build_mesh(4, 4)
+    b = build_mesh(4, 4)
+    c = build_mesh(8, 8)
     assert a.compatible(b)
     assert not a.compatible(c)
+    assert not build_mesh(4, 2).compatible(build_mesh(2, 4))
 
 
 def test_cell_centers_read_only():
-    m = build_mesh(4, 3, 4.0, 3.0)
+    m = build_mesh(4, 3)
     for a in (m.xc, m.yc):
         with pytest.raises(ValueError):
             a[0] = 0.0

@@ -61,6 +61,8 @@ def test_tanh_rejects_bad_inputs():
     with pytest.raises(DomainError):
         tanh_case(-0.1, LAB)
     with pytest.raises(DomainError):
+        tanh_case(math.nan, LAB)
+    with pytest.raises(DomainError):
         tanh_case(0.1, LAB, variant="diagonal")
 
 
@@ -98,7 +100,7 @@ def test_sources_bit_identical_to_uncached_evaluation(kind, nx):
 def test_residual_decays_second_order_trig():
     prev = None
     for nx in (32, 64):
-        m = build_mesh(nx, nx, 1.0, 1.0)
+        m = build_mesh(nx, nx)
         d = residual_check(trig_case(0.5, LAB), 0.3, m, m.h ** 2)
         if prev is not None:
             assert prev[0] / d[0] >= 3.5
@@ -110,7 +112,7 @@ def test_residual_decays_second_order_trig():
 def test_residual_decays_second_order_tanh(variant):
     prev = None
     for nx in (64, 128):
-        m = build_mesh(nx, nx, 1.0, 1.0)
+        m = build_mesh(nx, nx)
         d = residual_check(tanh_case(0.2, LAB, variant=variant), 0.2, m,
                            m.h ** 2)
         if prev is not None:
@@ -121,7 +123,7 @@ def test_residual_decays_second_order_tanh(variant):
 
 def test_residual_zero_for_fd_derived_sources():
     # sources built from the same stencils the checker uses must cancel
-    p, m = LAB, build_mesh(32, 32, 1.0, 1.0)
+    p, m = LAB, build_mesh(32, 32)
     base = trig_case(0.5, p)
     us, vs = base.u_star, base.v_star
     h, dt_fd = m.h, m.h ** 2
@@ -151,14 +153,14 @@ def test_residual_detects_corrupted_source():
     bad = ManufacturedCase(
         "corrupted", LAB, base.u_star, base.v_star,
         lambda t, x, y: base.S_u(t, x, y) + 0.01, base.S_v)
-    m = build_mesh(64, 64, 1.0, 1.0)
+    m = build_mesh(64, 64)
     du, dv = residual_check(bad, 0.3, m, m.h ** 2)
     assert 0.009 <= du <= 0.011
     assert dv <= 1e-5  # v source untouched
 
 
 def test_residual_validation():
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     c = trig_case(0.5, LAB)
     with pytest.raises(ValueError):
         residual_check(c, 0.3, m, 0.0)
@@ -175,7 +177,7 @@ def constant_case():
 
 
 def test_error_norms_exact_on_steady_case():
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     row = error_norms(constant_case(), LAB, m, 0.25, 1.0, [0.5, 1.0])
     assert row.err_linf_l2_u <= 1e-12
     assert row.err_linf_l2_v <= 1e-12
@@ -184,7 +186,7 @@ def test_error_norms_exact_on_steady_case():
 
 
 def test_error_norms_initial_snapshot_zero():
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     row = error_norms(trig_case(0.5, LAB), LAB, m, 0.1, 1.0, [0.0])
     assert row.err_linf_linf_u <= 1e-10
     assert row.err_linf_linf_v <= 1e-10
@@ -193,9 +195,9 @@ def test_error_norms_initial_snapshot_zero():
 def test_error_norms_monotone_refinement():
     c = trig_case(0.5, LAB)
     samples = list(range(1, 11))
-    r16 = error_norms(c, LAB, build_mesh(16, 16, 1.0, 1.0), 16.0 ** -2,
+    r16 = error_norms(c, LAB, build_mesh(16, 16), 16.0 ** -2,
                       10.0, samples)
-    r32 = error_norms(c, LAB, build_mesh(32, 32, 1.0, 1.0), 32.0 ** -2,
+    r32 = error_norms(c, LAB, build_mesh(32, 32), 32.0 ** -2,
                       10.0, samples)
     for col in ("err_linf_l2_u", "err_linf_l2_v",
                 "err_linf_linf_u", "err_linf_linf_v"):
@@ -204,7 +206,7 @@ def test_error_norms_monotone_refinement():
 
 
 def test_error_norms_sample_validation():
-    m = build_mesh(8, 8, 1.0, 1.0)
+    m = build_mesh(8, 8)
     c = trig_case(0.5, LAB)
     with pytest.raises(SampleTimeUnreachable):
         error_norms(c, LAB, m, 0.1, 1.0, [0.5, 0.25])
@@ -274,10 +276,9 @@ def test_convergence_study_shape_and_meta():
 
 def test_stability_k1_row_coincides_with_error_norms():
     c = trig_case(0.5, LAB)
-    h = 1.0 / 16.0
-    tab = stability_study(c, LAB, [1, 2], h=h, T=0.5)
-    direct = error_norms(c, LAB, build_mesh(16, 16, 1.0, 1.0), h, 0.5,
-                         [0.25, 0.5])
+    m = build_mesh(16, 16)
+    tab = stability_study(c, LAB, [1, 2], m, T=0.5)
+    direct = error_norms(c, LAB, m, m.h, 0.5, [0.25, 0.5])
     row = tab.rows[0]
     assert abs(row.err_linf_l2_u - direct.err_linf_l2_u) <= 1e-14
     assert abs(row.err_linf_l2_v - direct.err_linf_l2_v) <= 1e-14
@@ -292,7 +293,7 @@ def test_stability_records_nan_instead_of_raising():
         lambda t, x, y: np.full_like(np.asarray(x, dtype=float), 1e308),
         base.S_v)
     with np.errstate(all="ignore"):
-        tab = stability_study(blow, LAB, [1], h=1.0 / 16.0, T=0.5)
+        tab = stability_study(blow, LAB, [1], build_mesh(16, 16), T=0.5)
     assert not tab.rows[0].finite()
     assert math.isnan(tab.rows[0].err_linf_l2_u)
 
@@ -300,14 +301,19 @@ def test_stability_records_nan_instead_of_raising():
 def test_stability_rejects_unreachable_samples():
     c = trig_case(0.5, LAB)
     with pytest.raises(SampleTimeUnreachable):
-        stability_study(c, LAB, [3], h=1.0 / 16.0, T=0.5,
+        stability_study(c, LAB, [3], build_mesh(16, 16), T=0.5,
                         sample_times=[0.25, 0.5])  # 0.25 not a multiple
-    with pytest.raises(ValueError):
-        stability_study(c, LAB, [1], h=0.3, T=0.5)  # 1/h not integral
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+def test_stability_rejects_bad_multipliers(k):
+    with pytest.raises(ValueError, match="multipliers must be positive"):
+        stability_study(trig_case(0.5, LAB), LAB, [1.0, k],
+                        build_mesh(16, 16), T=0.5)
 
 
 def test_interface_guard_and_ordering():
-    m = build_mesh(128, 128, 1.0, 1.0)
+    m = build_mesh(128, 128)
     with pytest.raises(UnresolvableInterface):
         interface_study(LAB, [0.2, 2.0 / 128.0], m, 1 / 256, T=0.25,
                         sample_times=[0.25])
@@ -317,7 +323,7 @@ def test_interface_guard_and_ordering():
 
 
 def test_interface_error_grows_as_eps_shrinks():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     tab = interface_study(LAB, [0.2, 0.1], m, 1.0 / 64.0, T=0.25,
                           sample_times=[0.25])
     assert tab.rows[0].eps == 0.2 and tab.rows[1].eps == 0.1
@@ -326,11 +332,11 @@ def test_interface_error_grows_as_eps_shrinks():
 
 
 def test_wider_interface_flattens_projected_gradient():
-    m = build_mesh(64, 64, 1.0, 1.0)
+    m = build_mesh(64, 64)
 
     def max_face_jump(eps):
         c = tanh_case(eps, LAB)
-        P = project(m, lambda x, y: c.u_star(0.0, x, y), quad_order=3)
+        P = project(m, lambda x, y: c.u_star(0.0, x, y))
         g = P.values.reshape(m.ny, m.nx)
         jx = np.max(np.abs(np.diff(g, axis=1)))
         jy = np.max(np.abs(np.diff(g, axis=0)))
@@ -342,7 +348,7 @@ def test_wider_interface_flattens_projected_gradient():
 def test_trig_case_exactness_proxy_small_run():
     # one coarse run end to end: errors stay small and finite
     c = trig_case(0.5, LAB)
-    m = build_mesh(16, 16, 1.0, 1.0)
+    m = build_mesh(16, 16)
     row = error_norms(c, LAB, m, m.h ** 2, 0.5, [0.25, 0.5])
     assert row.finite()
     assert row.err_linf_linf_u < 0.05

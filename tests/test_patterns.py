@@ -30,7 +30,7 @@ def test_preset_names_sorted_complete():
 
 
 def test_initial_condition_geometry():
-    m = build_mesh(10, 10, 1.0, 1.0)
+    m = build_mesh(10, 10)
     u0, v0 = pattern_initial_condition(m)
     seeded = u0.values != 1.0
     assert int(np.sum(seeded)) == 4  # centers at 0.45 and 0.55 only
@@ -43,11 +43,11 @@ def test_initial_condition_geometry():
 
 def test_initial_condition_rejects_non_unit_domain():
     with pytest.raises(ValueError):
-        pattern_initial_condition(build_mesh(4, 2, 2.0, 1.0))
+        pattern_initial_condition(build_mesh(4, 2))
 
 
 def test_smoke_run_bounds_hold():
-    m = build_mesh(64, 64, 1.0, 1.0)
+    m = build_mesh(64, 64)
     snaps, report = run_pattern(preset("labyrinthine"), m, dt=0.5, t_end=10.0)
     assert report.bound_violations == 0
     assert report.steps == 20
@@ -58,13 +58,13 @@ def test_smoke_run_bounds_hold():
 
 
 def test_snapshot_times_default_filtering():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     snaps, _ = run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=120.0)
     assert [s.t for s in snaps] == [100.0, 120.0]
 
 
 def test_explicit_snapshot_times_and_t0():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     snaps, _ = run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=4.0,
                            snapshot_times=[0.0, 2.0, 4.0])
     assert [s.t for s in snaps] == [0.0, 2.0, 4.0]
@@ -73,7 +73,7 @@ def test_explicit_snapshot_times_and_t0():
 
 
 def test_snapshot_times_must_be_step_aligned():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     with pytest.raises(ValueError):
         run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=4.0,
                     snapshot_times=[2.5])
@@ -83,7 +83,7 @@ def test_snapshot_times_must_be_step_aligned():
 
 
 def test_runs_reproducible_bit_for_bit():
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     a, _ = run_pattern(preset("moving_spots"), m, dt=1.0, t_end=25.0,
                        snapshot_times=[25.0])
     b, _ = run_pattern(preset("moving_spots"), m, dt=1.0, t_end=25.0,
@@ -96,7 +96,7 @@ def test_homogeneous_control_stays_fixed():
     from gsfv.field import full
     from gsfv.imex import RunConfig, SimState, run
 
-    m = build_mesh(32, 32, 1.0, 1.0)
+    m = build_mesh(32, 32)
     p = preset("labyrinthine")
     from gsfv.imex import GrayScottParams
     params = GrayScottParams(1.6e-5, 8e-6, p.F, p.k)
