@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .diffusion import NoConvergence
+from .diffusion import ImplicitDiffusionOperator, NoConvergence, series_passes
 from .field import CellField
 from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
 from .mesh import InvalidSize, build_mesh
@@ -199,6 +199,24 @@ def _sample_times(args, cfg: dict):
     return None if raw is None else _floats(raw)
 
 
+def _t_end(args, cfg: dict, default: float) -> float:
+    """The --t-end option, checked finite before any output is made."""
+    t_end = float(_opt(args, cfg, "t_end", default))
+    if not math.isfinite(t_end):
+        raise ValueError(f"need a finite --t-end, got {t_end}")
+    return t_end
+
+
+def _solver_paths(mesh, dt: float, d_u: float, d_v: float):
+    """The path solve() takes per species: "series" or "dct" when both
+    species take the same one, else the two keyed by species."""
+    paths = {}
+    for species, d in (("u", d_u), ("v", d_v)):
+        p = series_passes(ImplicitDiffusionOperator(mesh, d, dt))
+        paths[species] = "dct" if p is None else "series"
+    return paths["u"] if paths["u"] == paths["v"] else paths
+
+
 def _fmt_t(t: float) -> str:
     return f"{t:g}"
 
@@ -236,7 +254,7 @@ def _cmd_simulate(args) -> int:
     pat = preset(name)
     nx = int(_opt(args, cfg, "nx", 128))
     dt = float(_opt(args, cfg, "dt", 1.0))
-    t_end = float(_opt(args, cfg, "t_end", 2000.0))
+    t_end = _t_end(args, cfg, 2000.0)
     d_u, d_v = _diffusivities(args, cfg)
     snap_opt = _opt(args, cfg, "snapshots", None)
     snap_times = _floats(snap_opt) if snap_opt is not None else None
@@ -263,7 +281,8 @@ def _cmd_simulate(args) -> int:
                    "h": mesh.h, "dt": dt, "t_end": t_end, "d_u": d_u,
                    "d_v": d_v, "with_v": with_v,
                    "snapshot_times": [s.t for s in snaps],
-                   "solver": "dct", "bound_tolerance": BOUND_TOLERANCE}
+                   "solver": _solver_paths(mesh, dt, d_u, d_v),
+                   "bound_tolerance": BOUND_TOLERANCE}
     man = _manifest("simulate", config_echo, _monitor_summary(report),
                     outputs)
     man.write(out)
@@ -292,6 +311,8 @@ def _table_exit(table: ErrorTable, path: str) -> int:
 def _read_convergence(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     sizes = _ints(_opt(args, cfg, "sizes", "16,32,64,128"))
+    for nx in sizes:
+        build_mesh(nx, nx)  # raises InvalidSize for nx < 2
 
     def study(T, samples):
         return convergence_study(case, params, sizes, T=T,
@@ -371,7 +392,7 @@ def _cmd_mms_study(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from(args, cfg)
     study, fname, echo = _STUDIES[name].read(args, cfg, params)
-    T = float(_opt(args, cfg, "t_end", 1.0))
+    T = _t_end(args, cfg, 1.0)
     samples = _sample_times(args, cfg)
     out = _opt(args, cfg, "out", None)
     if out is None:

@@ -1,18 +1,35 @@
-"""Per-step implicit diffusion operator, its exact solve and a CG reference.
+"""Per-step implicit diffusion operator, its solve and a CG reference.
 
 The operator is (A u)_K = h^2 u_K + dt * d * sum_{L ~ K} (u_K - u_L): the
-h^2-weighted identity plus the two-point flux stiffness (transmissibility 1
-on square cells), symmetric positive definite for any dt > 0, d > 0.
+h^2-weighted identity plus the two-point flux stiffness K (transmissibility
+1 on square cells), symmetric positive definite for any dt > 0, d > 0. One
+flux stencil, _add_fluxes, applies K: it works on the flat row-major cell
+array with contiguous 1-D differences, the x-difference that wraps from a
+row's last cell to the next row's first zeroed, in a face-difference
+scratch cached per cell count. _apply_values and the series below share it.
 
 The orthonormal 2-D DCT-II basis Q diagonalises A on the uniform grid, with
 eigenvalues h^2 + c L, c = dt * d and
 L = 4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny)
 (Strang, SIAM Rev. 41, 1999; Schumann & Sweet, J. Comput. Phys. 20, 1976).
-solve() uses that basis on every step; solve_cg() is the matrix-free
-conjugate-gradient method the paper describes, kept as the reference.
+solve_cg() is the matrix-free conjugate-gradient method the paper
+describes, kept as the reference. solve() takes one of two exact paths:
 
-solve() makes one forward and one inverse transform and no operator apply.
-With phi = c L / (h^2 + c L), A^-1 = (I - Q phi Q^T) / h^2, so
+- The series. A = h^2 (I + c' K) with c' = c / h^2, and L < 8, so
+  rho = 8 c' bounds the spectral radius of c' K. series_passes() returns
+  the least p with rho^(p+1) <= 2^-53, or None when that p exceeds
+  SERIES_MAX_PASSES. For p <= SERIES_MAX_PASSES solve() takes p Horner
+  passes y <- rhs - c' K y from y = rhs (a truncated Neumann series, or
+  Richardson iteration; Saad, Iterative Methods for Sparse Linear Systems,
+  SIAM 2003) and returns y / h^2. The error after p passes is
+  (-c' K)^(p+1) applied to x, at most rho^(p+1) ||x||: the DCT's rounding.
+  The runs at dt = h^2 take it (rho ~ 1e-4, p = 3 or 4).
+- The cosine basis, for every other operator (the pattern runs at dt = 1,
+  the stiff end), described below.
+
+The cosine path makes one forward and one inverse transform and no
+operator apply. With phi = c L / (h^2 + c L),
+A^-1 = (I - Q phi Q^T) / h^2, so
 x = rhs / h^2 - Q (phi / h^2) Q^T (rhs - s) for any shift s, as phi is 0 on
 the constant mode. The correction is A^-1 applied to the residual
 rhs - A (rhs / h^2), formed in spectral space; relative to x it is at most
@@ -20,7 +37,7 @@ c L / h^2, so near the identity (dt ~ h^2) its rounding is far below that
 of rhs / h^2. With s = rhs[0] a constant rhs transforms an exact zero and
 is solved exactly. The factor grid -phi / h^2 is cached per operator.
 
-solve() never forms the n x n cosine matrix Q. Its columns are mirror
+It never forms the n x n cosine matrix Q. Its columns are mirror
 symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a transform needs only its top
 m = ceil(n/2) rows: the even-k coefficients depend only on the sums of
 mirrored input entries, the odd-k ones only on their differences (a
@@ -32,8 +49,10 @@ and its middle row is exactly 0. Coefficients stay in this [even | odd]
 order between the forward and the inverse transform.
 
 The products and butterflies write into two scratch buffers cached per
-mesh shape, so solve() is not re-entrant across threads (nothing in the
-package calls it from more than one thread). Its result is a new array.
+mesh shape; the series alternates its passes between the first of them and
+the result. So neither solve() nor the stencil is re-entrant across
+threads (nothing in the package calls them from more than one thread). The
+result of solve() is a new array.
 """
 
 from __future__ import annotations
@@ -79,20 +98,36 @@ class ImplicitDiffusionOperator:
             raise ValueError(f"need dt > 0, got {self.dt}")
 
 
+SERIES_MAX_PASSES = 4  # above it the series no longer beats the DCT at 64^2
+
+
+@functools.lru_cache(maxsize=16)
+def _flux_scratch(n_cells: int) -> np.ndarray:
+    """Face-difference scratch for _add_fluxes: n_cells - 1 doubles."""
+    return np.empty(n_cells - 1)
+
+
+def _add_fluxes(g: np.ndarray, nx: int, c: float, out: np.ndarray) -> None:
+    """out += c K g for the flat row-major cell array g of a mesh nx cells
+    wide: the scaled unit-transmissibility fluxes across x faces, then
+    y faces. out must not overlap g."""
+    f = _flux_scratch(g.size)
+    np.subtract(g[:-1], g[1:], out=f)
+    f *= c
+    f[nx - 1::nx] = 0.0  # no face from a row's end to the next row's start
+    out[:-1] += f
+    out[1:] -= f
+    f = f[:g.size - nx]
+    np.subtract(g[:-nx], g[nx:], out=f)
+    f *= c
+    out[:-nx] += f
+    out[nx:] -= f
+
+
 def _apply_values(op: ImplicitDiffusionOperator, g_flat: np.ndarray) -> np.ndarray:
-    m = op.mesh
-    nx, ny = m.nx, m.ny
-    g = g_flat.reshape(ny, nx)
-    out = (m.h ** 2) * g
-    c = op.dt * op.d
-    # scaled unit-transmissibility fluxes across x faces, then y faces
-    fx = c * (g[:, :-1] - g[:, 1:])
-    out[:, :-1] += fx
-    out[:, 1:] -= fx
-    fy = c * (g[:-1, :] - g[1:, :])
-    out[:-1, :] += fy
-    out[1:, :] -= fy
-    return out.ravel()
+    out = (op.mesh.h ** 2) * g_flat
+    _add_fluxes(g_flat, op.mesh.nx, op.dt * op.d, out)
+    return out
 
 
 def apply(op: ImplicitDiffusionOperator, u: CellField) -> CellField:
@@ -140,7 +175,8 @@ def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     """Two flat scratch buffers for solve() on an ny x nx mesh, each the
-    size of the padded coefficient array: n_cells doubles for even sizes."""
+    size of the padded coefficient array: n_cells doubles for even sizes.
+    The series uses the first n_cells doubles of the first."""
     size = 4 * ((ny + 1) // 2) * ((nx + 1) // 2)
     return np.empty(size), np.empty(size)
 
@@ -177,7 +213,55 @@ def _unfold(y: np.ndarray, out: np.ndarray) -> None:
     np.subtract(y[0, :k], y[1, :k], out=out[::-1][:k])
 
 
+def series_passes(op: ImplicitDiffusionOperator) -> int | None:
+    """The least p with rho^(p+1) <= 2^-53, rho = 8 dt d / h^2, when it is
+    at most SERIES_MAX_PASSES: solve() then takes p series passes. None
+    means solve() takes the cosine basis."""
+    rho = 8.0 * op.dt * op.d / op.mesh.h ** 2
+    if rho < 1.0:  # else the powers could overflow
+        for p in range(SERIES_MAX_PASSES + 1):
+            if rho ** (p + 1) <= 2.0 ** -53:
+                return p
+    return None
+
+
 def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
+    """Solve A x = rhs, exact to rounding, by the series when
+    series_passes(op) gives a pass count and in the cosine eigenbasis
+    otherwise (module docstring). Works in buffers cached per mesh shape, so
+    it is not re-entrant across threads; the returned array is always new.
+    Raises NoConvergence (0 iterations, nan residual) when rhs is
+    non-finite.
+    """
+    _check_rhs(op, rhs)
+    p = series_passes(op)
+    if p is None:
+        return _solve_dct(op, rhs)
+    return _solve_series(op, rhs, p)
+
+
+def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
+                  p: int) -> CellField:
+    """p Horner passes y <- rhs - c' K y from y = rhs, then x = y / h^2.
+    The passes alternate between the result and a cached scratch so that
+    the last one writes the result."""
+    m = op.mesh
+    h2 = m.h ** 2
+    v = rhs.values
+    x = np.empty_like(v)
+    s = _workspace(m.ny, m.nx)[0][:m.n_cells]
+    c = -(op.dt * op.d / h2)
+    y = v
+    for k in range(p, 0, -1):  # k passes left
+        out = x if k % 2 else s
+        np.copyto(out, v)
+        _add_fluxes(y, m.nx, c, out)
+        y = out
+    np.divide(y, h2, out=x)
+    return CellField(m, x)
+
+
+def _solve_dct(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     """Solve A x = rhs exactly in the cosine eigenbasis.
 
     Returns rhs / h^2 plus the spectral correction described in the module
@@ -186,12 +270,8 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     the odd-k basis columns see) and transformed by one stacked product
     against the two half-size blocks, then likewise by columns. The
     coefficients are scaled by _spectral_factor in that permuted order and
-    transformed back the same way; odd sizes carry one zero pad mode. Works
-    in buffers cached per mesh shape, so it is not re-entrant across
-    threads; the returned array is always new. Raises NoConvergence
-    (0 iterations, nan residual) when rhs is non-finite.
+    transformed back the same way; odd sizes carry one zero pad mode.
     """
-    _check_rhs(op, rhs)
     m = op.mesh
     ny, nx = m.ny, m.nx
     h2 = m.h ** 2

@@ -79,9 +79,9 @@ BOUND_TOLERANCE = 1e-12  # RunConfig's default slack on the [0, 1] bounds
 class RunConfig:
     """Time-stepping and monitoring knobs for run().
 
-    T is the absolute terminal time. monitors switches the bound and energy
-    monitors together. Bounds are reported against [0, 1] for both species
-    with the given slack.
+    T is the absolute terminal time and must be finite. monitors switches
+    the bound and energy monitors together. Bounds are reported against
+    [0, 1] for both species with the given slack.
     """
 
     dt: float
@@ -92,6 +92,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"need dt > 0, got {self.dt}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"need a finite terminal time, got {self.T}")
         if not self.bound_tolerance >= 0.0:
             raise ValueError("bound_tolerance must be non-negative")
 

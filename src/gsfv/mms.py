@@ -384,8 +384,8 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
     """
     h = mesh.h
     ks = [float(k) for k in multipliers]
-    if any(not k > 0 for k in ks):
-        raise ValueError(f"multipliers must be positive, got {ks}")
+    if any(not (k > 0 and math.isfinite(k)) for k in ks):
+        raise ValueError(f"multipliers must be positive and finite, got {ks}")
     samples = sample_times if sample_times is not None else [T / 2.0, T]
     for k in ks:
         dt = k * h

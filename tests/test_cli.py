@@ -193,6 +193,52 @@ def test_nan_parameter_is_a_usage_error(tmp_path, capsys, command, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--preset", "labyrinthine", "--nx", "8"],
+    ["mms", "convergence"], ["mms", "stability", "--nx", "8"],
+    ["mms", "interface", "--nx", "32", "--eps-list", "0.2"]])
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_non_finite_t_end_is_a_usage_error(tmp_path, capsys, command, t_end):
+    out = tmp_path / "out"
+    rc = main(command + ["--t-end", t_end, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need a finite --t-end, got {t_end}\n"
+    assert not out.exists()
+
+
+def test_stability_rejects_infinite_multiplier(tmp_path, capsys):
+    rc = main(["mms", "stability", "--nx", "8", "--t-end", "0.25",
+               "--multipliers", "1,inf", "--out", str(tmp_path / "stab")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: multipliers must be positive and finite")
+
+
+def test_convergence_too_small_size_leaves_no_output(tmp_path, capsys):
+    out = tmp_path / "conv"
+    rc = main(["mms", "convergence", "--sizes", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: need nx, ny >= 2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, solver", [
+    ([], "dct"),
+    (["--dt", "1e-4", "--t-end", "1e-3"], "series"),
+    (["--dt", "1e-4", "--t-end", "1e-3", "--d-u", "1", "--d-v", "8e-6"],
+     {"u": "dct", "v": "series"})])
+def test_simulate_manifest_names_solver_path(tmp_path, extra, solver):
+    # dt = 1 takes the cosine basis; at dt = 1e-4 on 16^2, rho = 8 dt d / h^2
+    # is at most 3.3e-6 for the default diffusivities, and 0.2 for d_u = 1
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--preset", "labyrinthine", "--nx", "16",
+               "--t-end", "2", *extra, "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["solver"] == solver
+
+
 def test_python_m_gsfv_help_is_clean(src_env):
     proc = subprocess.run([sys.executable, "-m", "gsfv", "--help"],
                           env=src_env, capture_output=True, text=True,

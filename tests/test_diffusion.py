@@ -25,6 +25,24 @@ def dense_matrix(mesh, d, dt):
     return A
 
 
+def _series(op, rhs):
+    return diffusion._solve_series(op, rhs, diffusion.series_passes(op))
+
+
+def _paths(op):
+    """The two paths of solve(), forced: the cosine basis always, the
+    series where the rule allows it (elsewhere it diverges or is slow)."""
+    paths = [diffusion._solve_dct]
+    if diffusion.series_passes(op) is not None:
+        paths.append(_series)
+    return paths
+
+
+def _op_with_rho(m, rho, d=1.0):
+    """The operator on m whose series bound 8 dt d / h^2 is rho."""
+    return ImplicitDiffusionOperator(m, d, rho * m.h * m.h / (8.0 * d))
+
+
 coeffs = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 vals = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -228,9 +246,10 @@ def test_solve_matches_dense_on_oracle_meshes():
             op = ImplicitDiffusionOperator(m, d, dt)
             b = rng.uniform(-1.0, 1.0, m.n_cells)
             want = np.linalg.solve(dense_matrix(m, d, dt), b)
-            got = solve(op, CellField(m, b)).values
-            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-            assert rel <= 1e-12, (m.nx, m.ny, d, dt, rel)
+            for path in [solve] + _paths(op):
+                got = path(op, CellField(m, b)).values
+                rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+                assert rel <= 1e-12, (m.nx, m.ny, d, dt, path, rel)
 
 
 @given(nx=st.integers(2, 24), ny=st.integers(2, 24),
@@ -241,8 +260,9 @@ def test_solve_agrees_with_cg(nx, ny, log_ratio, seed):
     op = ImplicitDiffusionOperator(m, 1.0, 10.0 ** log_ratio * m.h * m.h)
     rhs = CellField(m, np.random.default_rng(seed).uniform(-1, 1, m.n_cells))
     want = solve_cg(op, rhs, tol=1e-13).values
-    got = solve(op, rhs).values
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for path in [solve] + _paths(op):
+        got = path(op, rhs).values
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @given(nx=st.sampled_from([2, 4, 8, 16, 32, 64]),
@@ -267,8 +287,11 @@ def test_solve_agrees_with_cg_at_production_sizes(nx, ny, dt_rule):
                                    1.0 if dt_rule == "1" else m.h ** 2)
     rhs = CellField(m, np.random.default_rng(nx + ny).uniform(0, 1, m.n_cells))
     want = solve_cg(op, rhs, tol=1e-13).values
-    got = solve(op, rhs).values
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # dt = h^2 takes the series, dt = 1 the cosine basis
+    assert len(_paths(op)) == (2 if dt_rule == "h^2" else 1)
+    for path in [solve] + _paths(op):
+        got = path(op, rhs).values
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_solve_workspace_does_not_leak_between_calls():
@@ -289,6 +312,13 @@ def test_solve_workspace_does_not_leak_between_calls():
     again = solve(op, b2)
     assert np.array_equal(again.values, want)
     assert not np.shares_memory(again.values, second.values)
+    # the series works in the cosine path's scratch
+    near = ImplicitDiffusionOperator(m, 0.5, 1e-7)
+    assert diffusion.series_passes(near) is not None
+    third = solve(near, b1)
+    assert np.array_equal(first.values, kept)
+    assert np.array_equal(solve(op, b2).values, want)
+    assert not np.shares_memory(third.values, again.values)
 
 
 @pytest.mark.parametrize("nx, ny", [(128, 128), (127, 127), (37, 5)])
@@ -298,9 +328,11 @@ def test_solve_near_identity_residual(nx, ny):
     m = build_mesh(nx, ny)
     op = ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)
     b = np.random.default_rng(nx * ny).uniform(0.0, 1.0, m.n_cells)
-    x = solve(op, CellField(m, b))
-    r = apply(op, x).values - b
-    assert np.linalg.norm(r) <= 1e-15 * np.linalg.norm(b)
+    assert len(_paths(op)) == 2
+    for path in _paths(op):
+        x = path(op, CellField(m, b))
+        r = apply(op, x).values - b
+        assert np.linalg.norm(r) <= 1e-15 * np.linalg.norm(b), path
 
 
 @pytest.mark.parametrize("dt_rule", ["1", "h^2"])
@@ -312,12 +344,14 @@ def test_solve_large_first_cell_agrees_with_cg(dt_rule):
     b[0] = 1e6 * b[1:].max()
     rhs = CellField(m, b)
     want = solve_cg(op, rhs, tol=1e-13).values
-    got = solve(op, rhs).values
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for path in [solve] + _paths(op):
+        got = path(op, rhs).values
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_solve_factor_cache_keyed_per_operator():
-    # two species at the pattern step and one at the ladder step share a mesh
+    # two species at the pattern step and one at the ladder step share a
+    # mesh; the cosine path is forced, as solve() takes the series at dt = h^2
     m = build_mesh(24, 24)
     ops = [ImplicitDiffusionOperator(m, 1.6e-5, 1.0),
            ImplicitDiffusionOperator(m, 0.8e-5, 1.0),
@@ -326,10 +360,10 @@ def test_solve_factor_cache_keyed_per_operator():
     first = []
     for op in ops:
         diffusion._spectral_factor.cache_clear()
-        first.append(solve(op, rhs).values)
+        first.append(diffusion._solve_dct(op, rhs).values)
     for _ in range(2):
         for op, want in zip(ops, first):
-            assert np.array_equal(solve(op, rhs).values, want)
+            assert np.array_equal(diffusion._solve_dct(op, rhs).values, want)
 
 
 def test_solve_cached_arrays_read_only():
@@ -342,3 +376,113 @@ def test_solve_cached_arrays_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+
+
+# The series path. Its truncation error is at most rho^(p+1) ||x|| <= 2^-53
+# ||x||, so it matches the cosine path to 1e-15 relative; the systems are
+# near the identity (condition number <= 1 + rho), so CG's 1e-13 residual
+# bounds its error by ~1e-13.
+
+def _reference_stencil(op, g):
+    """The operator on the (ny, nx) grid, x faces then y faces."""
+    m = op.mesh
+    g = g.reshape(m.ny, m.nx)
+    out = m.h ** 2 * g
+    c = op.dt * op.d
+    fx = c * (g[:, :-1] - g[:, 1:])
+    out[:, :-1] += fx
+    out[:, 1:] -= fx
+    fy = c * (g[:-1, :] - g[1:, :])
+    out[:-1, :] += fy
+    out[1:, :] -= fy
+    return out.ravel()
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (2, 7), (4, 8), (5, 7), (12, 2),
+                                    (37, 5), (128, 128), (127, 129)])
+def test_apply_matches_grid_stencil_and_face_loop(nx, ny):
+    # the flat x-difference across a row end must be zeroed; nx = 2 puts
+    # every other difference there
+    m = build_mesh(nx, ny)
+    op = ImplicitDiffusionOperator(m, 0.7, 0.3)
+    g = np.random.default_rng(nx + 100 * ny).uniform(-1.0, 1.0, m.n_cells)
+    got = diffusion._apply_values(op, g)
+    assert np.array_equal(got, _reference_stencil(op, g))
+    if m.n_cells <= 200:
+        want = m.h ** 2 * g
+        for K, L, tau in m.interior_faces():
+            flux = op.dt * op.d * tau * (g[K] - g[L])
+            want[K] += flux
+            want[L] -= flux
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("p", range(diffusion.SERIES_MAX_PASSES + 1))
+@pytest.mark.parametrize("nx, ny", [(2, 2), (4, 8), (12, 2), (37, 5),
+                                    (128, 128), (129, 127)])
+def test_series_matches_dct_and_cg(nx, ny, p):
+    # rho just under the p-pass threshold 2^(-53 / (p + 1)), the largest
+    # truncation error the rule allows for p
+    m = build_mesh(nx, ny)
+    op = _op_with_rho(m, 0.9 * 2.0 ** (-53.0 / (p + 1)))
+    assert diffusion.series_passes(op) == p
+    rhs = CellField(m, np.random.default_rng(p + nx).uniform(-1, 1, m.n_cells))
+    got = diffusion._solve_series(op, rhs, p).values
+    assert np.array_equal(solve(op, rhs).values, got)
+    dct = diffusion._solve_dct(op, rhs).values
+    assert np.linalg.norm(got - dct) <= 1e-15 * np.linalg.norm(dct)
+    cg = solve_cg(op, rhs, tol=1e-13).values
+    assert np.linalg.norm(got - cg) <= 1e-12 * np.linalg.norm(cg)
+
+
+def test_series_rule():
+    m = build_mesh(128, 128)
+    cap = diffusion.SERIES_MAX_PASSES
+    # the least p has rho^(p+1) <= 2^-53: just below and above a threshold
+    below, above = 2.0 ** (-53.0 / (cap + 1)), 2.0 ** (-53.0 / (cap + 2))
+    assert diffusion.series_passes(_op_with_rho(m, 0.99 * below)) == cap
+    assert diffusion.series_passes(_op_with_rho(m, 1.01 * below)) is None
+    assert diffusion.series_passes(_op_with_rho(m, 0.99 * above)) is None
+    for rho in (1.0, 2.0, 1e300):
+        assert diffusion.series_passes(_op_with_rho(m, rho)) is None
+    # the ladder's d_u and d_v at dt = h^2 take 4 and 3 passes
+    assert diffusion.series_passes(
+        ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)) == 4
+    assert diffusion.series_passes(
+        ImplicitDiffusionOperator(m, 0.8e-5, m.h ** 2)) == 3
+    # the pattern runs (dt = 1), stability (dt = h) and interface
+    # (dt = 1/256) studies stay on the cosine basis
+    for mesh, dt in ((m, 1.0), (build_mesh(512, 512), 1.0), (m, m.h),
+                     (m, 1.0 / 256.0)):
+        assert diffusion.series_passes(
+            ImplicitDiffusionOperator(mesh, 1.6e-5, dt)) is None
+
+
+@given(log_rho=st.floats(-290.0, 1.0), n=st.integers(2, 64))
+def test_series_passes_is_least_count_within_bound(log_rho, n):
+    m = build_mesh(n, n)
+    op = _op_with_rho(m, 10.0 ** log_rho, d=1.6e-5)
+    rho = 8.0 * op.dt * op.d / m.h ** 2
+    p = diffusion.series_passes(op)
+    eps = 2.0 ** -53
+    if p is None:
+        assert rho >= 1.0 or rho ** (diffusion.SERIES_MAX_PASSES + 1) > eps
+    else:
+        assert 0 <= p <= diffusion.SERIES_MAX_PASSES
+        assert rho ** (p + 1) <= eps
+        assert p == 0 or rho ** p > eps
+
+
+@pytest.mark.parametrize("dt_rule", ["1", "h^2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rhs_raises_on_both_paths(dt_rule, bad):
+    m = build_mesh(16, 16)
+    dt = 1.0 if dt_rule == "1" else m.h ** 2
+    op = ImplicitDiffusionOperator(m, 1.6e-5, dt)
+    assert (diffusion.series_passes(op) is None) == (dt_rule == "1")
+    b = np.ones(m.n_cells)
+    b[37] = bad
+    with pytest.raises(NoConvergence) as ei:
+        solve(op, CellField(m, b))
+    assert ei.value.iterations == 0
+    assert math.isnan(ei.value.residual)

@@ -78,6 +78,12 @@ def test_run_config_validation(kwargs):
         RunConfig(T=1.0, **kwargs)
 
 
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+def test_run_config_rejects_non_finite_terminal_time(T):
+    with pytest.raises(ValueError, match="need a finite terminal time"):
+        RunConfig(dt=1.0, T=T)
+
+
 def test_pure_diffusion_conserves_mass():
     m = build_mesh(16, 16)
     params = GrayScottParams(1e-2, 1e-2, 0.0, 0.0)
@@ -169,9 +175,11 @@ def test_run_shortened_final_step():
 
 def test_run_rejects_non_advancing():
     m = build_mesh(8, 8)
-    for T in (0.0, math.nan):
-        with pytest.raises(ValueError, match="not ahead of"):
-            run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=1.0, T=T))
+    with pytest.raises(ValueError, match="not ahead of"):
+        run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=1.0, T=0.0))
+    # RunConfig refuses a NaN terminal time before run() sees it
+    with pytest.raises(ValueError, match="need a finite terminal time"):
+        run(uniform_state(m, 1.0, 0.0), LAB, RunConfig(dt=1.0, T=math.nan))
 
 
 def test_run_observers_called_each_step():

@@ -305,7 +305,7 @@ def test_stability_rejects_unreachable_samples():
                         sample_times=[0.25, 0.5])  # 0.25 not a multiple
 
 
-@pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_stability_rejects_bad_multipliers(k):
     with pytest.raises(ValueError, match="multipliers must be positive"):
         stability_study(trig_case(0.5, LAB), LAB, [1.0, k],
