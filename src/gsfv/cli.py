@@ -29,10 +29,10 @@ from .field import CellField
 from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
 from .mesh import InvalidSize, build_mesh
 from .mms import (DomainError, ErrorTable, SampleTimeUnreachable,
-                  UnresolvableInterface, convergence_study, interface_study,
-                  residual_check, stability_study, tanh_case, trig_case,
-                  ERROR_COLUMNS)
-from .patterns import UnknownPreset, preset, preset_names, run_pattern
+                  UnresolvableInterface, _check_convergence,
+                  _check_interface, _check_stability, residual_check,
+                  tanh_case, trig_case, ERROR_COLUMNS)
+from .patterns import UnknownPreset, _check_pattern, preset, preset_names
 
 CSV_HEADER = ("h,dt,err_Linf_L2_u,err_Linf_L2_v,"
               "err_Linf_Linf_u,err_Linf_Linf_v,runtime_s")
@@ -262,11 +262,10 @@ def _cmd_simulate(args) -> int:
     out = _opt(args, cfg, "out", None)
     if out is None:
         raise ValueError("simulate needs --out")
-    mesh = build_mesh(nx, nx)  # raises InvalidSize before out is created
+    mesh = build_mesh(nx, nx)
+    run = _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snap_times)
     _ensure_out_dir(out)
-
-    snaps, report = run_pattern(pat, mesh, dt=dt, d_u=d_u, d_v=d_v,
-                                t_end=t_end, snapshot_times=snap_times)
+    snaps, report = run()
 
     outputs = []
     for snap in snaps:
@@ -311,15 +310,12 @@ def _table_exit(table: ErrorTable, path: str) -> int:
 def _read_convergence(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     sizes = _ints(_opt(args, cfg, "sizes", "16,32,64,128"))
-    for nx in sizes:
-        build_mesh(nx, nx)  # raises InvalidSize for nx < 2
 
-    def study(T, samples):
-        return convergence_study(case, params, sizes, T=T,
-                                 sample_times=samples)
+    def check(T, samples):
+        return _check_convergence(case, params, sizes, T, samples)
 
     fname = f"convergence_{case.label.split('_')[0]}.csv"
-    return study, fname, {"case": case.label, "sizes": sizes}
+    return check, fname, {"case": case.label, "sizes": sizes}
 
 
 def _read_stability(args, cfg: dict, params: GrayScottParams):
@@ -328,12 +324,11 @@ def _read_stability(args, cfg: dict, params: GrayScottParams):
     mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
     ks = _floats(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
 
-    def study(T, samples):
-        return stability_study(case, params, ks, mesh, T=T,
-                               sample_times=samples)
+    def check(T, samples):
+        return _check_stability(case, params, ks, mesh, T, samples)
 
     fname = f"stability_{case.label.split('_')[0]}.csv"
-    return study, fname, {"case": case.label, "nx": nx, "multipliers": ks}
+    return check, fname, {"case": case.label, "nx": nx, "multipliers": ks}
 
 
 def _read_interface(args, cfg: dict, params: GrayScottParams):
@@ -343,12 +338,12 @@ def _read_interface(args, cfg: dict, params: GrayScottParams):
     dt = float(_opt(args, cfg, "dt", 1.0 / 256.0))
     variant = _opt(args, cfg, "variant", "centered")
 
-    def study(T, samples):
-        return interface_study(params, eps_list, mesh, dt, T=T,
-                               variant=variant, sample_times=samples)
+    def check(T, samples):
+        return _check_interface(params, eps_list, mesh, dt, T, samples,
+                                variant)
 
     echo = {"eps_list": eps_list, "nx": nx, "dt": dt}
-    return study, "interface_tanh.csv", echo
+    return check, "interface_tanh.csv", echo
 
 
 @dataclass(frozen=True)
@@ -356,7 +351,8 @@ class _Study:
     """One ``mms`` study subcommand.
 
     read(args, cfg, params) resolves the study's own options and returns
-    (study(T, sample_times) -> ErrorTable, CSV file name, config echo).
+    (check(T, sample_times), CSV file name, config echo); check validates
+    every argument and returns the study's run, () -> ErrorTable.
     """
 
     help: str
@@ -387,18 +383,19 @@ _STUDIES = {
 
 
 def _cmd_mms_study(args) -> int:
-    """Shared scaffold: options, out dir, study, CSV, manifest, exit code."""
+    """Shared scaffold: options, checks, out dir, run, CSV, manifest, exit
+    code. Every usage error is raised before the out dir is made."""
     name = args.mms_command
     cfg = _load_config(args.config)
     params = _params_from(args, cfg)
-    study, fname, echo = _STUDIES[name].read(args, cfg, params)
+    check, fname, echo = _STUDIES[name].read(args, cfg, params)
     T = _t_end(args, cfg, 1.0)
-    samples = _sample_times(args, cfg)
     out = _opt(args, cfg, "out", None)
     if out is None:
         raise ValueError(f"mms {name} needs --out")
+    run = check(T, _sample_times(args, cfg))
     _ensure_out_dir(out)
-    table = study(T, samples)
+    table = run()
     path = os.path.join(out, fname)
     write_error_table(table, path)
     man = _manifest(f"mms {name}",

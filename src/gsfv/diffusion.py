@@ -107,15 +107,17 @@ def _flux_scratch(n_cells: int) -> np.ndarray:
     return np.empty(n_cells - 1)
 
 
-def _add_fluxes(g: np.ndarray, nx: int, c: float, out: np.ndarray) -> None:
-    """out += c K g for the flat row-major cell array g of a mesh nx cells
-    wide: the scaled unit-transmissibility fluxes across x faces, then
-    y faces. out must not overlap g."""
+def _add_fluxes(g: np.ndarray, nx: int, c: float, base: np.ndarray,
+                out: np.ndarray) -> None:
+    """out = base + c K g for the flat row-major cell array g of a mesh nx
+    cells wide: the scaled unit-transmissibility fluxes across x faces, then
+    y faces. base may be out; neither may overlap g."""
     f = _flux_scratch(g.size)
     np.subtract(g[:-1], g[1:], out=f)
     f *= c
     f[nx - 1::nx] = 0.0  # no face from a row's end to the next row's start
-    out[:-1] += f
+    np.add(base[:-1], f, out=out[:-1])
+    out[-1] = base[-1]
     out[1:] -= f
     f = f[:g.size - nx]
     np.subtract(g[:-nx], g[nx:], out=f)
@@ -126,7 +128,7 @@ def _add_fluxes(g: np.ndarray, nx: int, c: float, out: np.ndarray) -> None:
 
 def _apply_values(op: ImplicitDiffusionOperator, g_flat: np.ndarray) -> np.ndarray:
     out = (op.mesh.h ** 2) * g_flat
-    _add_fluxes(g_flat, op.mesh.nx, op.dt * op.d, out)
+    _add_fluxes(g_flat, op.mesh.nx, op.dt * op.d, out, out)
     return out
 
 
@@ -254,8 +256,7 @@ def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
     y = v
     for k in range(p, 0, -1):  # k passes left
         out = x if k % 2 else s
-        np.copyto(out, v)
-        _add_fluxes(y, m.nx, c, out)
+        _add_fluxes(y, m.nx, c, v, out)
         y = out
     np.divide(y, h2, out=x)
     return CellField(m, x)

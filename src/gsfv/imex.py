@@ -164,8 +164,12 @@ def step(state: SimState, params: GrayScottParams, dt: float,
     h2 = mesh.h ** 2
     u, v = state.u.values, state.v.values
 
-    fu = reaction_f(u, v, params.F)
-    gv = reaction_g(u, v, params.F, params.k)
+    # reaction_f and reaction_g bit for bit, sharing u v^2, which is freed
+    # before the solves (other orders raised the 128^2 p90 step time ~10%)
+    uvv = u * v * v
+    fu = params.F * (1.0 - u) - uvv
+    gv = uvv - (params.F + params.k) * v
+    del uvv
     if sources is not None:
         s_u, s_v = sources
         fu += _sample_source(s_u, state.t, mesh)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -62,8 +63,9 @@ def _read_only(a) -> bool:
 
 def _last_call(fn):
     """One-entry memo of fn(*times, x, y), for the source pairs: S_u and S_v
-    of a step share one evaluation, and the time-independent factors are
-    built once per mesh.
+    of a step share one evaluation of their common pieces (trig: c and
+    u* v*^2; tanh: -lap(u*), du*/dt + u* v*^2 and v*, from one tanh), and
+    the time-independent factors are built once per mesh.
 
     x and y are matched by identity, which pins their contents only when
     they are read-only arrays (mesh coordinates are); other coordinates, and
@@ -94,8 +96,12 @@ def trig_case(a: float, params: GrayScottParams) -> ManufacturedCase:
     in (0, 1)."""
     if not 0.0 < a < 1.0:
         raise DomainError(f"need 0 < a < 1, got {a}")
-    w = TWO_PI
-    d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
+    w, F, k = TWO_PI, params.F, params.k
+    # S_u = c alpha_u(t) + u* v*^2 and S_v = c alpha_v(t) + (F + k)/4
+    # - u* v*^2 with c = cc(x, y): du*/dt, lap(u*) = 2 w^2 (1 - u*) and the
+    # linear kinetic terms are all multiples of c
+    lin_u = a * (2.0 * params.d_u * w * w + F)
+    lin_v = 0.5 * params.d_v * w * w + 0.25 * (F + k)
 
     def cc(x, y):
         return np.cos(w * x) * np.cos(w * y)
@@ -111,31 +117,20 @@ def trig_case(a: float, params: GrayScottParams) -> ManufacturedCase:
     @_last_call
     def _pieces(t, x, y):
         c = _space(x, y)
-        u = 1.0 - a * c * np.cos(w * t)
-        v = 0.25 + 0.25 * c * np.cos(w * t)
-        return c, u, v
+        cw = c * np.cos(w * t)
+        v = 0.25 + 0.25 * cw
+        return c, (1.0 - a * cw) * v * v
 
     def S_u(t, x, y):
-        c, u, v = _pieces(t, x, y)
-        # time derivative, then minus d_u * laplacian (each cosine factor
-        # contributes -w^2, two space factors), then minus kinetics
-        return (a * w * c * np.sin(w * t)
-                - 2.0 * d_u * a * w * w * c * np.cos(w * t)
-                + u * v * v - F * (1.0 - u))
+        c, uvv = _pieces(t, x, y)
+        return c * (a * w * np.sin(w * t) - lin_u * np.cos(w * t)) + uvv
 
     def S_v(t, x, y):
-        c, u, v = _pieces(t, x, y)
-        return (-0.25 * w * c * np.sin(w * t)
-                + 0.5 * d_v * w * w * c * np.cos(w * t)
-                - u * v * v + (F + k) * v)
+        c, uvv = _pieces(t, x, y)
+        return (c * (lin_v * np.cos(w * t) - 0.25 * w * np.sin(w * t))
+                + 0.25 * (F + k) - uvv)
 
     return ManufacturedCase("trig", params, u_star, v_star, S_u, S_v)
-
-
-def _sech2(z):
-    # overflow-safe sech^2 via exp(-2|z|)
-    e = np.exp(-2.0 * np.abs(z))
-    return 4.0 * e / (1.0 + e) ** 2
 
 
 # level-set r = cos(w (x - shift)) + cos(w (y - shift)) per variant: (w, shift)
@@ -162,12 +157,6 @@ def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
     def r(x, y):
         return np.cos(w * (x - shift)) + np.cos(w * (y - shift))
 
-    def grad_r_sq(x, y):
-        return w * w * (np.sin(w * (x - shift)) ** 2
-                        + np.sin(w * (y - shift)) ** 2)
-
-    lap_factor = -w * w  # lap(r) = lap_factor * r
-
     d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
     A, lam = FRONT_AMPLITUDE, FRONT_OMEGA
 
@@ -182,30 +171,31 @@ def tanh_case(eps: float, params: GrayScottParams, r00: float = 0.25,
 
     @_last_call
     def _space(x, y):
+        # r, g = |grad r|^2 / eps^2 and l = lap(r) / (2 eps) = -w^2 r / (2 eps)
         rr = r(x, y)
-        return rr, grad_r_sq(x, y), lap_factor * rr
+        g = (np.sin(w * (x - shift)) ** 2 + np.sin(w * (y - shift)) ** 2)
+        return rr, g * (w / eps) ** 2, (-w * w / (2.0 * eps)) * rr
 
     @_last_call
     def _pieces(t, x, y):
-        rr, grad_sq, lap_r = _space(x, y)
-        th = (r0(t) - rr) / eps
-        s2 = _sech2(th)
-        tnh = np.tanh(th)
-        # du*/dt and lap(u*) in closed form; v* = 1 - u* flips both signs
-        dudt = s2 * (A * lam * np.cos(lam * t)) / (2.0 * eps)
-        lap_u = (-s2 * tnh * grad_sq / (eps * eps)
-                 - s2 * lap_r / (2.0 * eps))
-        u = 0.5 * (1.0 + tnh)
-        v = 0.5 * (1.0 - tnh)
-        return dudt, lap_u, u, v
+        # with T = tanh((r0 - r) / eps): sech^2 = 1 - T^2, v* = (1 - T)/2,
+        # -lap(u*) = sech^2 (T g + l) and, as u* v* = sech^2 / 4,
+        # du*/dt + u* v*^2 = sech^2 (A lam cos(lam t) / (2 eps) + v* / 4)
+        rr, g, l = _space(x, y)
+        tnh = np.tanh((r0(t) - rr) / eps)
+        s2 = 1.0 - tnh * tnh
+        v = 0.5 - 0.5 * tnh
+        beta = A * lam * np.cos(lam * t) / (2.0 * eps)
+        return s2 * (tnh * g + l), s2 * (beta + 0.25 * v), v
 
+    # v* = 1 - u* flips the signs of du*/dt and lap(u*) in S_v
     def S_u(t, x, y):
-        dudt, lap_u, u, v = _pieces(t, x, y)
-        return dudt - d_u * lap_u + u * v * v - F * (1.0 - u)
+        neg_lap, rate, v = _pieces(t, x, y)
+        return d_u * neg_lap + rate - F * v
 
     def S_v(t, x, y):
-        dudt, lap_u, u, v = _pieces(t, x, y)
-        return -dudt + d_v * lap_u - u * v * v + (F + k) * v
+        neg_lap, rate, v = _pieces(t, x, y)
+        return (F + k) * v - d_v * neg_lap - rate
 
     return ManufacturedCase(f"tanh_eps{eps:g}", params,
                             u_star, v_star, S_u, S_v)
@@ -220,10 +210,10 @@ def residual_check(case: ManufacturedCase, t: float, mesh: UniformMesh,
     boundary treatment is needed). The defect is O(h^2 + dt_fd^2) when the
     sources are consistent with u*, v*; it does not involve the scheme.
     """
-    if dt_fd <= 0.0:
+    if not dt_fd > 0.0:
         raise ValueError(f"need dt_fd > 0, got {dt_fd}")
-    if t - dt_fd < 0.0:
-        raise ValueError(f"need t - dt_fd >= 0, got t={t}, dt_fd={dt_fd}")
+    if not (math.isfinite(t) and t - dt_fd >= 0.0):
+        raise ValueError(f"need finite t >= dt_fd, got t={t}, dt_fd={dt_fd}")
     X, Y = mesh.xc, mesh.yc
     h = mesh.h
     p = case.params
@@ -277,16 +267,16 @@ class ErrorTable:
     meta: dict = dc_field(default_factory=dict)
 
 
-def _validate_samples(sample_times, T: float) -> list:
-    ts = [float(s) for s in sample_times]
+def _validate_samples(samples, T: float, default=None) -> list:
+    ts = [float(s) for s in (default if samples is None else samples)]
     if not ts:
         raise SampleTimeUnreachable("no sample times given")
     prev = -math.inf
     for s in ts:
-        if s <= prev:
+        if not s > prev:
             raise SampleTimeUnreachable(f"sample times not ascending: {ts}")
         prev = s
-    if ts[0] < 0.0 or ts[-1] > T * (1.0 + 1e-12) + 1e-15:
+    if not (ts[0] >= 0.0 and ts[-1] <= T * (1.0 + 1e-12) + 1e-15):
         raise SampleTimeUnreachable(
             f"sample times must lie in [0, T={T}], got {ts}")
     return ts
@@ -349,6 +339,22 @@ def default_sample_times(T: float, n: int = 10) -> list:
     return [T * i / n for i in range(1, n + 1)]
 
 
+def _run_rows(params, rows, T, samples, meta, abscissa, nan_rows=False):
+    """Run a checked study: error_norms per (case, mesh, dt, eps) row, then
+    orders against abscissa(row); nan_rows makes a blow-up a NaN row."""
+    table = []
+    for case, mesh, dt, eps in rows:
+        try:
+            table.append(error_norms(case, params, mesh, dt, T, samples))
+        except NoConvergence:
+            if not nan_rows:
+                raise
+            table.append(ErrorRow(mesh.h, dt, *[math.nan] * 5))
+        table[-1].eps = eps
+    orders = observed_orders(table, [abscissa(r) for r in table])
+    return ErrorTable(table, orders, meta)
+
+
 def convergence_study(case: ManufacturedCase, params: GrayScottParams,
                       mesh_sizes, T: float = 1.0,
                       sample_times=None) -> ErrorTable:
@@ -356,21 +362,19 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
 
     Reported orders are slopes vs h^2: 1.0 means error ~ h^2 ~ dt.
     """
+    return _check_convergence(case, params, mesh_sizes, T, sample_times)()
+
+
+def _check_convergence(case, params, mesh_sizes, T, sample_times):
     sizes = [int(n) for n in mesh_sizes]
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ValueError(f"mesh sizes must be ascending, got {sizes}")
-    samples = sample_times if sample_times is not None \
-        else default_sample_times(T)
-
-    def row_for(nx: int) -> ErrorRow:
-        mesh = build_mesh(nx, nx)
-        return error_norms(case, params, mesh, mesh.h ** 2, T, samples)
-
-    rows = [row_for(nx) for nx in sizes]
-    orders = observed_orders(rows, [r.h ** 2 for r in rows])
-    meta = {"study": "convergence", "T": T, "sample_times": list(samples),
+    samples = _validate_samples(sample_times, T, default_sample_times(T))
+    rows = [(case, m, m.h ** 2, None) for m in map(build_mesh, sizes, sizes)]
+    meta = {"study": "convergence", "T": T, "sample_times": samples,
             "dt_rule": "h^2", "order_abscissa": "h^2"}
-    return ErrorTable(rows, orders, meta)
+    return partial(_run_rows, params, rows, T, samples, meta,
+                   lambda r: r.h ** 2)
 
 
 def stability_study(case: ManufacturedCase, params: GrayScottParams,
@@ -382,32 +386,26 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
     shortened (which would silently change the dt under test); defaults to
     {T/2, T}. Orders are slopes vs dt.
     """
+    return _check_stability(case, params, multipliers, mesh, T,
+                            sample_times)()
+
+
+def _check_stability(case, params, multipliers, mesh, T, sample_times):
     h = mesh.h
     ks = [float(k) for k in multipliers]
     if any(not (k > 0 and math.isfinite(k)) for k in ks):
         raise ValueError(f"multipliers must be positive and finite, got {ks}")
-    samples = sample_times if sample_times is not None else [T / 2.0, T]
+    samples = _validate_samples(sample_times, T, [T / 2.0, T])
     for k in ks:
-        dt = k * h
         for s in samples:
-            ratio = s / dt
+            ratio = s / (k * h)
             if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
                 raise SampleTimeUnreachable(
-                    f"sample {s} is not a multiple of dt={dt} (k={k})")
-
-    def row_for(k: float) -> ErrorRow:
-        # a blown-up run is a data point (NaN errors), not a crash
-        try:
-            return error_norms(case, params, mesh, k * h, T, samples)
-        except NoConvergence:
-            nan = math.nan
-            return ErrorRow(mesh.h, k * h, nan, nan, nan, nan, math.nan)
-
-    rows = [row_for(k) for k in ks]
-    orders = observed_orders(rows, [r.dt for r in rows])
+                    f"sample {s} is not a multiple of dt={k * h} (k={k})")
     meta = {"study": "stability", "T": T, "h": h, "multipliers": ks,
-            "sample_times": list(samples), "order_abscissa": "dt"}
-    return ErrorTable(rows, orders, meta)
+            "sample_times": samples, "order_abscissa": "dt"}
+    return partial(_run_rows, params, [(case, mesh, k * h, None) for k in ks],
+                   T, samples, meta, lambda r: r.dt, nan_rows=True)
 
 
 def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
@@ -424,6 +422,11 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
     cancels the generic first-order source-quadrature lag, which otherwise
     dominates with an eps^-1 signature and hides the eps^-2 sensitivity.
     """
+    return _check_interface(params, eps_list, mesh, dt, T, sample_times,
+                            variant)()
+
+
+def _check_interface(params, eps_list, mesh, dt, T, sample_times, variant):
     epss = [float(e) for e in eps_list]
     if sorted(epss, reverse=True) != epss or len(set(epss)) != len(epss):
         raise ValueError(f"eps values must be descending, got {epss}")
@@ -431,18 +434,13 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
         if e <= 2.0 * mesh.h:
             raise UnresolvableInterface(
                 f"eps={e} at or below 2h={2.0 * mesh.h:g}; front not resolved")
-    samples = sample_times if sample_times is not None \
-        else default_sample_times(T)
-
-    def row_for(e: float) -> ErrorRow:
-        case = tanh_case(e, params, variant=variant)
-        row = error_norms(case, params, mesh, dt, T, samples)
-        row.eps = e
-        return row
-
-    rows = [row_for(e) for e in epss]
-    orders = observed_orders(rows, [1.0 / r.eps for r in rows])
+    if not dt > 0.0:
+        raise ValueError(f"need dt > 0, got {dt}")
+    samples = _validate_samples(sample_times, T, default_sample_times(T))
+    rows = [(tanh_case(e, params, variant=variant), mesh, dt, e)
+            for e in epss]
     meta = {"study": "interface", "T": T, "dt": dt, "h": mesh.h,
-            "eps_list": epss, "sample_times": list(samples),
+            "eps_list": epss, "sample_times": samples,
             "variant": variant, "order_abscissa": "1/eps"}
-    return ErrorTable(rows, orders, meta)
+    return partial(_run_rows, params, rows, T, samples, meta,
+                   lambda r: 1.0 / r.eps)

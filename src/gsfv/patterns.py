@@ -87,6 +87,11 @@ def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
     t_end always included; each must be an integer multiple of dt. Returns
     the snapshots (deep copies) and the monitor report of the whole run.
     """
+    return _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times)()
+
+
+def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
+    """run_pattern's argument checks; returns the run itself."""
     if d_v is None:
         d_v = d_u / 2.0
     params = GrayScottParams(d_u, d_v, pat.F, pat.k)
@@ -100,21 +105,26 @@ def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
         if times[-1] > t_end + 1e-9:
             raise ValueError("snapshot time beyond t_end")
     cfg = RunConfig(dt=dt, T=t_end)  # validates dt before the checks below
+    if not t_end > 0.0:
+        raise ValueError(f"need t_end > 0, got {t_end}")
     for ts in times:
         ratio = ts / dt
         if ts < 0.0 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
             raise ValueError(f"snapshot time {ts} not a multiple of dt={dt}")
+    u0, v0 = pattern_initial_condition(mesh)  # rejects a non-square mesh
 
-    u0, v0 = pattern_initial_condition(mesh)
-    state = SimState(0, 0.0, u0, v0)
-    snaps: list = []
-    pending = list(times)
+    def go() -> tuple[list, MonitorReport]:
+        state = SimState(0, 0.0, u0, v0)
+        snaps: list = []
+        pending = list(times)
 
-    def capture(s: SimState) -> None:
-        while pending and s.t >= pending[0] - 1e-9 * max(pending[0], 1.0):
-            pending.pop(0)
-            snaps.append(Snapshot(s.t, s.u.copy(), s.v.copy()))
+        def capture(s: SimState) -> None:
+            while pending and s.t >= pending[0] - 1e-9 * max(pending[0], 1.0):
+                pending.pop(0)
+                snaps.append(Snapshot(s.t, s.u.copy(), s.v.copy()))
 
-    capture(state)  # a t=0 snapshot, if requested
-    _, report = run(state, params, cfg, observers=(capture,))
-    return snaps, report
+        capture(state)  # a t=0 snapshot, if requested
+        _, report = run(state, params, cfg, observers=(capture,))
+        return snaps, report
+
+    return go

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gsfv
 from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, _build_parser,
@@ -213,6 +218,64 @@ def test_stability_rejects_infinite_multiplier(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "error: multipliers must be positive and finite")
+
+
+def _numbers(*fine):
+    return st.sampled_from(("0", "-1", "nan", "inf", "-inf") + fine)
+
+
+def _lists(*fine):
+    # any order, so descending and repeated entries come up too
+    items = st.sampled_from(("0", "-1", "nan", "inf") + fine)
+    return st.lists(items, min_size=1, max_size=3).map(",".join)
+
+
+# every subcommand with hostile numbers among a few small valid ones: sizes
+# stay <= 8, --t-end <= 0.5 and steps >= 1/64, so a valid run is cheap
+_SIZES = st.sampled_from(("0", "-1", "1", "2", "8"))
+_T_END = _numbers("0.25", "0.5")
+_SAMPLES = st.none() | _lists("0.125", "0.25", "0.5")
+_HOSTILE = {
+    "simulate": {"--preset": st.just("labyrinthine"), "--nx": _SIZES,
+                 "--dt": _numbers("0.25", "1"), "--t-end": _T_END},
+    "convergence": {"--case": st.sampled_from(("trig", "tanh")),
+                    "--sizes": _lists("1", "2", "4", "8"), "--t-end": _T_END,
+                    "--sample-times": _SAMPLES},
+    "stability": {"--nx": _SIZES, "--multipliers": _lists("1", "2"),
+                  "--t-end": _T_END, "--sample-times": _SAMPLES},
+    "interface": {"--nx": _SIZES, "--eps-list": _lists("0.5", "0.3"),
+                  "--dt": _numbers("0.0625", "0.25"), "--t-end": _T_END,
+                  "--sample-times": _SAMPLES},
+    "residual": {"--case": st.sampled_from(("trig", "tanh")),
+                 "--sizes": _lists("2", "4", "8"), "--t": _numbers("0.3")},
+    "presets": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HOSTILE))
+@given(data=st.data())
+def test_hostile_numbers_never_crash_or_leave_output(command, data):
+    argv = [command] if command in ("simulate", "presets") \
+        else ["mms", command]
+    for flag, values in _HOSTILE[command].items():
+        value = data.draw(values, label=flag)
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "-inf" is not read as a flag
+    printed, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        if command not in ("residual", "presets"):
+            argv += ["--out", out]
+        with contextlib.redirect_stdout(printed), \
+                contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert "Traceback" not in err.getvalue()
+        assert not (rc == 1 and os.path.exists(out)), (argv, err.getvalue())
+    if command == "residual" and rc == 0:
+        # a successful defect check prints finite defects
+        assert not {"nan", "inf"} & set(re.findall(r"[a-z]+",
+                                                    printed.getvalue()))
 
 
 def test_convergence_too_small_size_leaves_no_output(tmp_path, capsys):

@@ -435,6 +435,36 @@ def test_series_matches_dct_and_cg(nx, ny, p):
     assert np.linalg.norm(got - cg) <= 1e-12 * np.linalg.norm(cg)
 
 
+def _copyto_horner(op, rhs, p):
+    """p Horner passes, each a copy of rhs plus the flux stencil added in
+    place: the reference for the copy-free passes."""
+    m, v = op.mesh, rhs.values
+    nx, c = m.nx, -(op.dt * op.d / m.h ** 2)
+    y = v
+    for _ in range(p):
+        out = np.empty_like(v)
+        np.copyto(out, v)
+        f = c * (y[:-1] - y[1:])
+        f[nx - 1::nx] = 0.0
+        out[:-1] += f
+        out[1:] -= f
+        f = c * (y[:-nx] - y[nx:])
+        out[:-nx] += f
+        out[nx:] -= f
+        y = out
+    return y / m.h ** 2
+
+
+@pytest.mark.parametrize("p", range(diffusion.SERIES_MAX_PASSES + 1))
+@pytest.mark.parametrize("nx, ny", [(2, 2), (37, 5), (128, 128)])
+def test_series_matches_copyto_horner(nx, ny, p):
+    m = build_mesh(nx, ny)
+    op = _op_with_rho(m, 0.9 * 2.0 ** (-53.0 / (p + 1)))
+    rhs = CellField(m, np.random.default_rng(p + ny).uniform(-1, 1, m.n_cells))
+    got = diffusion._solve_series(op, rhs, p).values
+    assert np.array_equal(got, _copyto_horner(op, rhs, p))
+
+
 def test_series_rule():
     m = build_mesh(128, 128)
     cap = diffusion.SERIES_MAX_PASSES

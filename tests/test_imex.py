@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gsfv.diffusion import NoConvergence
+from gsfv.diffusion import ImplicitDiffusionOperator, NoConvergence, solve
 from gsfv.field import CellField, full, inner_h, project
 from gsfv.imex import (GrayScottParams, MonitorReport, NonFiniteState,
                        RunConfig, SimState, reaction_f, reaction_g, run, step)
 from gsfv.mesh import build_mesh
+from gsfv.mms import tanh_case
 from gsfv.patterns import pattern_initial_condition
 
 LAB = GrayScottParams(1.6e-5, 8e-6, 0.037, 0.060)
@@ -233,6 +234,33 @@ def test_large_dt_stays_finite():
     for _ in range(5):
         state = step(state, LAB, dt=64.0 / 32.0)
     assert state.u.is_finite() and state.v.is_finite()
+
+
+@pytest.mark.parametrize("nx, dt", [(16, 1.0), (37, 37.0 ** -2),
+                                    (128, 1.0), (128, 128.0 ** -2)])
+@pytest.mark.parametrize("with_sources", [False, True])
+def test_step_matches_step_assembled_from_reactions(nx, dt, with_sources):
+    # the step's shared u v^2 and in-place right-hand side must round as
+    # reaction_f, reaction_g and h^2 (u + dt f) do
+    m = build_mesh(nx, nx)
+    rng = np.random.default_rng(nx)
+    u, v = rng.uniform(0, 1, m.n_cells), rng.uniform(0, 1, m.n_cells)
+    sources = None
+    fu, gv = reaction_f(u, v, LAB.F), reaction_g(u, v, LAB.F, LAB.k)
+    if with_sources:
+        case = tanh_case(0.1, LAB)
+        sources = (case.S_u, case.S_v)
+        fu = fu + case.S_u(0.3, m.xc, m.yc)
+        gv = gv + case.S_v(0.3, m.xc, m.yc)
+    h2 = m.h ** 2
+    want_u = solve(ImplicitDiffusionOperator(m, LAB.d_u, dt),
+                   CellField(m, h2 * (u + dt * fu)))
+    want_v = solve(ImplicitDiffusionOperator(m, LAB.d_v, dt),
+                   CellField(m, h2 * (v + dt * gv)))
+    got = step(SimState(0, 0.3, CellField(m, u), CellField(m, v)), LAB, dt,
+               sources)
+    assert np.array_equal(got.u.values, want_u.values)
+    assert np.array_equal(got.v.values, want_v.values)
 
 
 def test_sources_sampled_at_old_time():

@@ -95,6 +95,101 @@ def test_sources_bit_identical_to_uncached_evaluation(kind, nx):
             got[:] = -1.0
 
 
+# The sources in term-by-term closed form (sech^2 by exp, each term of S_u
+# and S_v on its own): the reference for the pieces the cases share.
+
+def _oracle_trig(a, params):
+    w = 2.0 * math.pi
+    d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
+
+    def cc(x, y):
+        return np.cos(w * x) * np.cos(w * y)
+
+    def pieces(t, x, y):
+        c = cc(x, y)
+        u = 1.0 - a * c * np.cos(w * t)
+        v = 0.25 + 0.25 * c * np.cos(w * t)
+        return c, u, v
+
+    def S_u(t, x, y):
+        c, u, v = pieces(t, x, y)
+        return (a * w * c * np.sin(w * t)
+                - 2.0 * d_u * a * w * w * c * np.cos(w * t)
+                + u * v * v - F * (1.0 - u))
+
+    def S_v(t, x, y):
+        c, u, v = pieces(t, x, y)
+        return (-0.25 * w * c * np.sin(w * t)
+                + 0.5 * d_v * w * w * c * np.cos(w * t)
+                - u * v * v + (F + k) * v)
+
+    return S_u, S_v
+
+
+def _sech2(z):
+    # overflow-safe sech^2 via exp(-2|z|)
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / (1.0 + e) ** 2
+
+
+def _oracle_tanh(eps, params, variant, r00=0.25):
+    w, shift = {"centered": (2.0 * math.pi, 0.5),
+                "halfwave": (math.pi, 0.0)}[variant]
+    d_u, d_v, F, k = params.d_u, params.d_v, params.F, params.k
+    A, lam = 0.25, 2.0 * math.pi
+
+    def r(x, y):
+        return np.cos(w * (x - shift)) + np.cos(w * (y - shift))
+
+    def grad_r_sq(x, y):
+        return w * w * (np.sin(w * (x - shift)) ** 2
+                        + np.sin(w * (y - shift)) ** 2)
+
+    def pieces(t, x, y):
+        rr = r(x, y)
+        th = (r00 + A * np.sin(lam * t) - rr) / eps
+        s2 = _sech2(th)
+        tnh = np.tanh(th)
+        dudt = s2 * (A * lam * np.cos(lam * t)) / (2.0 * eps)
+        lap_u = (-s2 * tnh * grad_r_sq(x, y) / (eps * eps)
+                 - s2 * (-w * w * rr) / (2.0 * eps))
+        return dudt, lap_u, 0.5 * (1.0 + tnh), 0.5 * (1.0 - tnh)
+
+    def S_u(t, x, y):
+        dudt, lap_u, u, v = pieces(t, x, y)
+        return dudt - d_u * lap_u + u * v * v - F * (1.0 - u)
+
+    def S_v(t, x, y):
+        dudt, lap_u, u, v = pieces(t, x, y)
+        return -dudt + d_v * lap_u - u * v * v + (F + k) * v
+
+    return S_u, S_v
+
+
+ORACLES = {
+    "trig": lambda: _oracle_trig(0.5, LAB),
+    "tanh-centered": lambda: _oracle_tanh(0.1, LAB, "centered"),
+    "tanh-halfwave": lambda: _oracle_tanh(0.1, LAB, "halfwave"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CASE_BUILDERS))
+def test_sources_match_closed_form_oracle(kind):
+    # within 1e-14 of max |S| on the finest mesh at that time; the Python
+    # scalar points are held to the same scale
+    case, oracle = CASE_BUILDERS[kind](), ORACLES[kind]()
+    meshes = [build_mesh(n, n) for n in (16, 37, 128)]
+    points = [(m.xc, m.yc) for m in meshes] + [(0.3, 0.7), (0.0, 0.0)]
+    for t in (0.0, 0.1, 0.3, 0.45, 0.77, 1.3):
+        for got, want in zip((case.S_u, case.S_v), oracle):
+            scale = np.max(np.abs(want(t, meshes[-1].xc, meshes[-1].yc)))
+            for x, y in points:
+                g, w = got(t, x, y), want(t, x, y)
+                assert np.shape(g) == np.shape(w)
+                assert np.max(np.abs(g - w)) <= 1e-14 * scale, \
+                    (kind, t, np.size(x))
+
+
 # --- defect oracle ---------------------------------------------------------
 
 def test_residual_decays_second_order_trig():
@@ -166,6 +261,9 @@ def test_residual_validation():
         residual_check(c, 0.3, m, 0.0)
     with pytest.raises(ValueError):
         residual_check(c, 0.01, m, 0.02)  # centered stencil needs t-dt_fd>=0
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="need finite t"):
+            residual_check(c, t, m, m.h ** 2)
 
 
 # --- error norms -----------------------------------------------------------
