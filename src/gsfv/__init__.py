@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .mesh import InvalidSize, UniformMesh, build_mesh
 from .field import (CellField, MeshMismatch, full, project, inner_h,
                     grad_form_h, norm_l2_h, norm_linf, seminorm_h1_h)
-from .diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
-                        solve, solve_cg)
+from .diffusion import ImplicitDiffusionOperator, NoConvergence, apply, solve
 from .imex import (GrayScottParams, MonitorReport, NonFiniteState, RunConfig,
                    SimState, reaction_f, reaction_g, run, step)
 from .mms import (DomainError, ErrorRow, ErrorTable, ManufacturedCase,
@@ -24,7 +23,6 @@ __all__ = [
     "CellField", "MeshMismatch", "full", "project", "inner_h", "grad_form_h",
     "norm_l2_h", "norm_linf", "seminorm_h1_h",
     "ImplicitDiffusionOperator", "NoConvergence", "apply", "solve",
-    "solve_cg",
     "GrayScottParams", "MonitorReport", "NonFiniteState", "RunConfig",
     "SimState", "reaction_f", "reaction_g", "run", "step",
     "DomainError", "ErrorRow", "ErrorTable", "ManufacturedCase",

@@ -181,22 +181,16 @@ def _opt(args, cfg: dict, key: str, default):
     return default
 
 
-def _floats(text) -> list:
+def _numbers(text, kind=float) -> list:
     if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(tok) for tok in str(text).split(",") if tok.strip()]
-
-
-def _ints(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(tok) for tok in str(text).split(",") if tok.strip()]
+        return [kind(x) for x in text]
+    return [kind(tok) for tok in str(text).split(",") if tok.strip()]
 
 
 def _sample_times(args, cfg: dict):
     """None means "let the study pick its T-dependent default"."""
     raw = _opt(args, cfg, "sample_times", None)
-    return None if raw is None else _floats(raw)
+    return None if raw is None else _numbers(raw)
 
 
 def _t_end(args, cfg: dict, default: float) -> float:
@@ -257,7 +251,7 @@ def _cmd_simulate(args) -> int:
     t_end = _t_end(args, cfg, 2000.0)
     d_u, d_v = _diffusivities(args, cfg)
     snap_opt = _opt(args, cfg, "snapshots", None)
-    snap_times = _floats(snap_opt) if snap_opt is not None else None
+    snap_times = _numbers(snap_opt) if snap_opt is not None else None
     with_v = bool(args.with_v or cfg.get("with_v", False))
     out = _opt(args, cfg, "out", None)
     if out is None:
@@ -296,8 +290,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _table_exit(table: ErrorTable, path: str) -> int:
-    bad = any(not math.isfinite(getattr(r, c))
-              for r in table.rows for c in ERROR_COLUMNS)
+    bad = not all(r.finite() for r in table.rows)
     for c in ERROR_COLUMNS:
         print(f"{c}: order {table.orders[c]:.4f}")
     print(f"wrote {path}")
@@ -309,7 +302,7 @@ def _table_exit(table: ErrorTable, path: str) -> int:
 
 def _read_convergence(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
-    sizes = _ints(_opt(args, cfg, "sizes", "16,32,64,128"))
+    sizes = _numbers(_opt(args, cfg, "sizes", "16,32,64,128"), int)
 
     def check(T, samples):
         return _check_convergence(case, params, sizes, T, samples)
@@ -322,7 +315,7 @@ def _read_stability(args, cfg: dict, params: GrayScottParams):
     case = _case_from(args, cfg, params)
     nx = int(_opt(args, cfg, "nx", 128))
     mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
-    ks = _floats(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
+    ks = _numbers(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
 
     def check(T, samples):
         return _check_stability(case, params, ks, mesh, T, samples)
@@ -332,7 +325,7 @@ def _read_stability(args, cfg: dict, params: GrayScottParams):
 
 
 def _read_interface(args, cfg: dict, params: GrayScottParams):
-    eps_list = _floats(_opt(args, cfg, "eps_list", "0.2,0.1,0.05,0.025"))
+    eps_list = _numbers(_opt(args, cfg, "eps_list", "0.2,0.1,0.05,0.025"))
     nx = int(_opt(args, cfg, "nx", 128))
     mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
     dt = float(_opt(args, cfg, "dt", 1.0 / 256.0))
@@ -410,7 +403,9 @@ def _cmd_mms_residual(args) -> int:
     params = _params_from(args, cfg)
     case = _case_from(args, cfg, params)
     t = float(_opt(args, cfg, "t", 0.3))
-    sizes = _ints(_opt(args, cfg, "sizes", "32,64"))
+    sizes = _numbers(_opt(args, cfg, "sizes", "32,64"), int)
+    if not sizes or sizes != sorted(set(sizes)):
+        raise ValueError(f"need one or more ascending --sizes, got {sizes}")
     defects = []
     for nx in sizes:
         mesh = build_mesh(nx, nx)

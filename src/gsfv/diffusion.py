@@ -1,19 +1,17 @@
-"""Per-step implicit diffusion operator, its solve and a CG reference.
+"""Per-step implicit diffusion operator and its solve.
 
 The operator is (A u)_K = h^2 u_K + dt * d * sum_{L ~ K} (u_K - u_L): the
 h^2-weighted identity plus the two-point flux stiffness K (transmissibility
-1 on square cells), symmetric positive definite for any dt > 0, d > 0. One
-flux stencil, _add_fluxes, applies K: it works on the flat row-major cell
-array with contiguous 1-D differences, the x-difference that wraps from a
-row's last cell to the next row's first zeroed, in a face-difference
-scratch cached per cell count. _apply_values and the series below share it.
+1 on square cells), symmetric positive definite for any dt > 0, d > 0.
+_add_fluxes applies K from field.face_differences; _apply_values and the
+series below share it. The tests' reference solvers (CG, dense
+elimination) are in tests/oracles.py.
 
 The orthonormal 2-D DCT-II basis Q diagonalises A on the uniform grid, with
 eigenvalues h^2 + c L, c = dt * d and
 L = 4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny)
 (Strang, SIAM Rev. 41, 1999; Schumann & Sweet, J. Comput. Phys. 20, 1976).
-solve_cg() is the matrix-free conjugate-gradient method the paper
-describes, kept as the reference. solve() takes one of two exact paths:
+solve() takes one of two exact paths:
 
 - The series. A = h^2 (I + c' K) with c' = c / h^2, and L < 8, so
   rho = 8 c' bounds the spectral radius of c' K. series_passes() returns
@@ -50,9 +48,10 @@ order between the forward and the inverse transform.
 
 The products and butterflies write into two scratch buffers cached per
 mesh shape; the series alternates its passes between the first of them and
-the result. So neither solve() nor the stencil is re-entrant across
-threads (nothing in the package calls them from more than one thread). The
-result of solve() is a new array.
+the result, and forms its face differences in a third, cached likewise. So
+neither solve() nor the series is re-entrant across threads (nothing in the
+package calls them from more than one thread). The result of solve() is a
+new array.
 """
 
 from __future__ import annotations
@@ -63,17 +62,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import CellField, MeshMismatch
+from .field import CellField, MeshMismatch, face_differences
 from .mesh import UniformMesh
 
 
 class NoConvergence(RuntimeError):
-    """A solve produced no solution.
-
-    Either CG did not reach the requested residual within max_iter, or the
-    right-hand side is non-finite: then both solves raise at once with
-    iterations 0 and residual nan (solve_cg also when ||rhs||^2 overflows).
-    """
+    """A solve produced no solution: solve() raises it at once, with
+    iterations 0 and residual nan, for a non-finite right-hand side."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
@@ -102,28 +97,24 @@ SERIES_MAX_PASSES = 4  # above it the series no longer beats the DCT at 64^2
 
 
 @functools.lru_cache(maxsize=16)
-def _flux_scratch(n_cells: int) -> np.ndarray:
-    """Face-difference scratch for _add_fluxes: n_cells - 1 doubles."""
-    return np.empty(n_cells - 1)
+def _flux_scratch(n_cells: int, nx: int) -> np.ndarray:
+    """The series' face-difference scratch: 2 n_cells - nx doubles."""
+    return np.empty(2 * n_cells - nx)
 
 
 def _add_fluxes(g: np.ndarray, nx: int, c: float, base: np.ndarray,
-                out: np.ndarray) -> None:
+                out: np.ndarray, f: np.ndarray | None = None) -> None:
     """out = base + c K g for the flat row-major cell array g of a mesh nx
-    cells wide: the scaled unit-transmissibility fluxes across x faces, then
-    y faces. base may be out; neither may overlap g."""
-    f = _flux_scratch(g.size)
-    np.subtract(g[:-1], g[1:], out=f)
+    cells wide, with f as face_differences' buffer (new when None). base
+    may be out; none of them may overlap g."""
+    n = g.size
+    f = face_differences(g, nx, f)
     f *= c
-    f[nx - 1::nx] = 0.0  # no face from a row's end to the next row's start
-    np.add(base[:-1], f, out=out[:-1])
-    out[-1] = base[-1]
-    out[1:] -= f
-    f = f[:g.size - nx]
-    np.subtract(g[:-nx], g[nx:], out=f)
-    f *= c
-    out[:-nx] += f
-    out[nx:] -= f
+    fx, fy = f[:n], f[n:]
+    np.add(base, fx, out=out)
+    out[1:] -= fx[:-1]
+    out[:-nx] += fy
+    out[nx:] -= fy
 
 
 def _apply_values(op: ImplicitDiffusionOperator, g_flat: np.ndarray) -> np.ndarray:
@@ -137,14 +128,6 @@ def apply(op: ImplicitDiffusionOperator, u: CellField) -> CellField:
     if not u.mesh.compatible(op.mesh):
         raise MeshMismatch("field mesh does not match operator mesh")
     return CellField(op.mesh, _apply_values(op, u.values))
-
-
-def _check_rhs(op: ImplicitDiffusionOperator, rhs: CellField) -> None:
-    """Raises at once on a mismatched mesh or a non-finite rhs value."""
-    if not rhs.mesh.compatible(op.mesh):
-        raise MeshMismatch("rhs mesh does not match operator mesh")
-    if not np.isfinite(rhs.values).all():
-        raise NoConvergence(0, math.nan)
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,7 +218,10 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     Raises NoConvergence (0 iterations, nan residual) when rhs is
     non-finite.
     """
-    _check_rhs(op, rhs)
+    if not rhs.mesh.compatible(op.mesh):
+        raise MeshMismatch("rhs mesh does not match operator mesh")
+    if not np.isfinite(rhs.values).all():
+        raise NoConvergence(0, math.nan)
     p = series_passes(op)
     if p is None:
         return _solve_dct(op, rhs)
@@ -252,11 +238,12 @@ def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
     v = rhs.values
     x = np.empty_like(v)
     s = _workspace(m.ny, m.nx)[0][:m.n_cells]
+    f = _flux_scratch(m.n_cells, m.nx)
     c = -(op.dt * op.d / h2)
     y = v
     for k in range(p, 0, -1):  # k passes left
         out = x if k % 2 else s
-        _add_fluxes(y, m.nx, c, v, out)
+        _add_fluxes(y, m.nx, c, v, out, f)
         y = out
     np.divide(y, h2, out=x)
     return CellField(m, x)
@@ -301,45 +288,3 @@ def _solve_dct(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     x += b[:m.n_cells]
     return CellField(m, x)
 
-
-def solve_cg(op: ImplicitDiffusionOperator, rhs: CellField, tol: float = 1e-10,
-             max_iter: int = 1000) -> CellField:
-    """Solve A x = rhs by CG to ||A x - rhs||_2 <= tol * ||rhs||_2.
-
-    The initial guess is rhs / h^2 (exact when rhs is constant). Raises
-    NoConvergence with the iteration count and final relative residual, or
-    at once (0 iterations, nan residual) when rhs is non-finite or
-    ||rhs||^2 overflows (values above ~1e154), since the stopping test
-    needs ||rhs||_2.
-    """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"need 0 < tol < 1, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"need max_iter >= 1, got {max_iter}")
-    _check_rhs(op, rhs)
-    b = rhs.values
-    bb = float(np.dot(b, b))
-    if not math.isfinite(bb):
-        raise NoConvergence(0, math.nan)
-    bnorm = math.sqrt(bb)
-    x = b / op.mesh.h ** 2
-    if bnorm == 0.0:
-        return CellField(op.mesh, np.zeros_like(b))
-    threshold = tol * bnorm
-
-    r = b - _apply_values(op, x)
-    rs = float(np.dot(r, r))
-    if np.sqrt(rs) <= threshold:
-        return CellField(op.mesh, x)
-    p = r.copy()
-    for it in range(1, max_iter + 1):
-        Ap = _apply_values(op, p)
-        alpha = rs / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(np.dot(r, r))
-        if np.sqrt(rs_new) <= threshold:
-            return CellField(op.mesh, x)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise NoConvergence(max_iter, float(np.sqrt(rs)) / bnorm)

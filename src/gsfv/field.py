@@ -2,7 +2,8 @@
 
 The discrete L2 inner product is (w, phi)_h = h^2 sum_K w_K phi_K and the
 gradient form is sum over interior faces of tau * (w_K - w_L)(phi_K - phi_L),
-with tau = 1 on the uniform square-cell mesh.
+with tau = 1 on the uniform square-cell mesh. face_differences() is the one
+two-point stencil: the gradient form and the diffusion operator use it.
 Reductions use numpy's fixed left-to-right pairwise order, so repeated calls
 on the same data are bit-reproducible.
 """
@@ -82,25 +83,27 @@ def inner_h(w: CellField, phi: CellField) -> float:
     return float(w.mesh.h ** 2 * np.dot(w.values, phi.values))
 
 
-def _face_differences(w: CellField) -> np.ndarray:
-    # w_L - w_K over interior faces in interior_faces() order: x faces,
-    # then y faces, each row-major
-    m = w.mesh
-    g = w.values.reshape(m.ny, m.nx)
-    out = np.empty(m.n_faces)
-    k = m.ny * (m.nx - 1)
-    np.subtract(g[:, 1:], g[:, :-1], out=out[:k].reshape(m.ny, m.nx - 1))
-    np.subtract(g[1:], g[:-1], out=out[k:].reshape(m.ny - 1, m.nx))
+def face_differences(g: np.ndarray, nx: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Face differences g_K - g_L of the flat row-major cell array g of a
+    mesh nx cells wide, in out (new if None) of 2 g.size - nx doubles: one
+    x difference g[k] - g[k + 1] per cell, 0 where k ends a row (no face
+    there), then the y differences g[k] - g[k + nx]."""
+    n = g.size
+    out = np.empty(2 * n - nx) if out is None else out
+    np.subtract(g[:-1], g[1:], out=out[:n - 1])
+    out[nx - 1:n:nx] = 0.0
+    np.subtract(g[:-nx], g[nx:], out=out[n:])
     return out
 
 
 def grad_form_h(w: CellField, phi: CellField) -> float:
     """Discrete gradient form: sum_faces tau (w_K - w_L)(phi_K - phi_L)."""
     _require_same_mesh(w, phi)
-    # tau = 1 and negating both differences is exact, so this one dot is
-    # bit-identical to dot(tau * (w_K - w_L), phi_K - phi_L) in face order
-    dw = _face_differences(w)
-    dphi = dw if phi is w else _face_differences(phi)
+    # tau = 1, and the zeroed row-end entries add exact zeros
+    nx = w.mesh.nx
+    dw = face_differences(w.values, nx)
+    dphi = dw if phi is w else face_differences(phi.values, nx)
     return float(np.dot(dw, dphi))
 
 

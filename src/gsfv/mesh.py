@@ -3,10 +3,10 @@
 An nx*ny grid has cells of side h = 1/max(nx, ny), so its longer side spans
 [0, 1] (the whole unit square when nx == ny). Cells are numbered row-major
 with x fastest: cell k = j*nx + i sits at center ((i+1/2)h, (j+1/2)h).
-Interior faces carry a transmissibility tau = |face| / (center distance),
-which is identically 1 on a uniform square grid, so flux code works on
-structured differences of the (ny, nx) grid. Boundary faces carry no flux
-(homogeneous Neumann boundary).
+Interior faces have transmissibility tau = |face| / (center distance) = 1
+and follow from the numbering: cell k meets k + 1 unless k ends a row, and
+k + nx (field.face_differences forms the differences across them). Boundary
+faces carry no flux (homogeneous Neumann boundary).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ class UniformMesh:
     """Immutable mesh geometry.
 
     xc, yc are flat, read-only cell-center coordinates in cell order.
-    Interior faces are implied by the grid; interior_faces() lists them on
-    demand.
     """
 
     nx: int
@@ -38,20 +36,6 @@ class UniformMesh:
     @property
     def n_cells(self) -> int:
         return self.nx * self.ny
-
-    @property
-    def n_faces(self) -> int:
-        return self.nx * (self.ny - 1) + self.ny * (self.nx - 1)
-
-    def interior_faces(self) -> list:
-        """List of (k, l, tau) triples, python scalars: x-oriented faces
-        between k and l = k + 1 first, then y-oriented faces between k and
-        l = k + nx, each row-major. tau is 1 on square cells."""
-        nx, ny = self.nx, self.ny
-        x_faces = [(j * nx + i, j * nx + i + 1, 1.0)
-                   for j in range(ny) for i in range(nx - 1)]
-        y_faces = [(k, k + nx, 1.0) for k in range((ny - 1) * nx)]
-        return x_faces + y_faces
 
     def compatible(self, other: "UniformMesh") -> bool:
         """True if other has the same resolution (h follows from it)."""

@@ -367,6 +367,8 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
 
 def _check_convergence(case, params, mesh_sizes, T, sample_times):
     sizes = [int(n) for n in mesh_sizes]
+    if not sizes:
+        raise ValueError("need at least one mesh size (--sizes)")
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ValueError(f"mesh sizes must be ascending, got {sizes}")
     samples = _validate_samples(sample_times, T, default_sample_times(T))
@@ -393,6 +395,8 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
 def _check_stability(case, params, multipliers, mesh, T, sample_times):
     h = mesh.h
     ks = [float(k) for k in multipliers]
+    if not ks:
+        raise ValueError("need at least one multiplier (--multipliers)")
     if any(not (k > 0 and math.isfinite(k)) for k in ks):
         raise ValueError(f"multipliers must be positive and finite, got {ks}")
     samples = _validate_samples(sample_times, T, [T / 2.0, T])
@@ -428,6 +432,8 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
 
 def _check_interface(params, eps_list, mesh, dt, T, sample_times, variant):
     epss = [float(e) for e in eps_list]
+    if not epss:
+        raise ValueError("need at least one eps (--eps-list)")
     if sorted(epss, reverse=True) != epss or len(set(epss)) != len(epss):
         raise ValueError(f"eps values must be descending, got {epss}")
     for e in epss:

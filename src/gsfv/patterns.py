@@ -101,6 +101,8 @@ def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
                        | {t_end})
     else:
         times = sorted(float(t) for t in snapshot_times)
+        if not (times and np.isfinite(times).all() and times[0] >= 0.0):
+            raise ValueError(f"need finite --snapshots >= 0, got {times}")
         t_end = times[-1] if t_end is None else float(t_end)
         if times[-1] > t_end + 1e-9:
             raise ValueError("snapshot time beyond t_end")
@@ -109,7 +111,7 @@ def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
         raise ValueError(f"need t_end > 0, got {t_end}")
     for ts in times:
         ratio = ts / dt
-        if ts < 0.0 or abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+        if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
             raise ValueError(f"snapshot time {ts} not a multiple of dt={dt}")
     u0, v0 = pattern_initial_condition(mesh)  # rejects a non-square mesh
 

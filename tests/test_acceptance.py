@@ -22,6 +22,7 @@ from gsfv.mms import (convergence_study, interface_study, observed_orders,
                       residual_check, stability_study, tanh_case,
                       trig_case)
 from gsfv.patterns import preset, run_pattern
+from oracles import dense_operator
 
 D_U = 1.6e-5
 D_V = 8e-6
@@ -157,18 +158,6 @@ def test_06_energy_ledger(acceptance_log, labyrinthine_t200):
     assert ok, line
 
 
-def _dense_operator(mesh, d: float, dt: float) -> np.ndarray:
-    """Assemble (w, phi)_h + dt*d*grad_form(w, phi) densely from the faces."""
-    n = mesh.n_cells
-    a = mesh.h ** 2 * np.eye(n)
-    for k, l, tau in mesh.interior_faces():
-        a[k, k] += dt * d * tau
-        a[l, l] += dt * d * tau
-        a[k, l] -= dt * d * tau
-        a[l, k] -= dt * d * tau
-    return a
-
-
 def test_07_diffusion_operator_oracle(acceptance_log):
     meshes = [build_mesh(n, n) for n in range(2, 9)]
     meshes.append(build_mesh(4, 8))  # square cells, non-square grid
@@ -178,7 +167,7 @@ def test_07_diffusion_operator_oracle(acceptance_log):
     for mesh in meshes:
         for d, dt in ((D_U, 1.0), (1.0, 0.25)):
             op = ImplicitDiffusionOperator(mesh, d, dt)
-            dense = _dense_operator(mesh, d, dt)
+            dense = dense_operator(mesh, d, dt)
             n = mesh.n_cells
             cols = np.column_stack([
                 apply(op, CellField(mesh, np.eye(n)[:, j])).values

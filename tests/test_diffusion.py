@@ -7,22 +7,10 @@ from hypothesis import example, given, strategies as st
 
 from gsfv import diffusion
 from gsfv.diffusion import (ImplicitDiffusionOperator, NoConvergence, apply,
-                            solve, solve_cg)
+                            solve)
 from gsfv.field import CellField, MeshMismatch, full
 from gsfv.mesh import build_mesh
-
-
-def dense_matrix(mesh, d, dt):
-    """Assemble A from the bilinear form definition, independently of apply."""
-    n = mesh.n_cells
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, mesh.h ** 2)
-    for K, L, tau in mesh.interior_faces():
-        A[K, K] += dt * d * tau
-        A[L, L] += dt * d * tau
-        A[K, L] -= dt * d * tau
-        A[L, K] -= dt * d * tau
-    return A
+from oracles import dense_operator, interior_faces, solve_cg
 
 
 def _series(op, rhs):
@@ -72,7 +60,7 @@ def test_operator_validation():
 @given(ou=op_and_field())
 def test_apply_matches_dense_assembly(ou):
     op, u = ou
-    A = dense_matrix(op.mesh, op.d, op.dt)
+    A = dense_operator(op.mesh, op.d, op.dt)
     got = apply(op, u).values
     want = A @ u.values
     assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
@@ -81,7 +69,7 @@ def test_apply_matches_dense_assembly(ou):
 @given(ou=op_and_field())
 def test_dense_matrix_spd(ou):
     op, _ = ou
-    A = dense_matrix(op.mesh, op.d, op.dt)
+    A = dense_operator(op.mesh, op.d, op.dt)
     assert np.array_equal(A, A.T)
     assert np.min(np.linalg.eigvalsh(A)) > 0.0
 
@@ -165,7 +153,7 @@ def test_solve_matches_dense_elimination():
     m = build_mesh(2, 2)
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
     rhs = CellField(m, np.array([1.0, 0.0, 0.0, 0.0]))
-    want = np.linalg.solve(dense_matrix(m, 1.0, 1.0), rhs.values)
+    want = np.linalg.solve(dense_operator(m, 1.0, 1.0), rhs.values)
     got = solve_cg(op, rhs, tol=1e-13).values
     assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -245,7 +233,7 @@ def test_solve_matches_dense_on_oracle_meshes():
         for d, dt in ((1.6e-5, 1.0), (1.0, 0.25)):
             op = ImplicitDiffusionOperator(m, d, dt)
             b = rng.uniform(-1.0, 1.0, m.n_cells)
-            want = np.linalg.solve(dense_matrix(m, d, dt), b)
+            want = np.linalg.solve(dense_operator(m, d, dt), b)
             for path in [solve] + _paths(op):
                 got = path(op, CellField(m, b)).values
                 rel = np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -410,7 +398,7 @@ def test_apply_matches_grid_stencil_and_face_loop(nx, ny):
     assert np.array_equal(got, _reference_stencil(op, g))
     if m.n_cells <= 200:
         want = m.h ** 2 * g
-        for K, L, tau in m.interior_faces():
+        for K, L, tau in interior_faces(m):
             flux = op.dt * op.d * tau * (g[K] - g[L])
             want[K] += flux
             want[L] -= flux

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gsfv.field import (CellField, MeshMismatch, full, grad_form_h, inner_h,
-                        norm_l2_h, norm_linf, project, seminorm_h1_h)
+from gsfv.field import (CellField, MeshMismatch, face_differences, full,
+                        grad_form_h, inner_h, norm_l2_h, norm_linf, project,
+                        seminorm_h1_h)
 from gsfv.mesh import build_mesh
+from oracles import interior_faces
 
 GP = 0.7745966692414834  # Gauss-Legendre 3-point abscissa sqrt(3/5)
 QP = ((-0.5 * GP, 5 / 18), (0.0, 8 / 18), (0.5 * GP, 5 / 18))
@@ -178,14 +180,20 @@ def test_positivity(mf):
 @example(nx=4, ny=8, seed=0)
 @example(nx=12, ny=2, seed=1)
 def test_grad_form_matches_face_list(nx, ny, seed):
-    # the structured stencil against the face-by-face definition
+    # the flat stencil against the face-by-face definition
     m = build_mesh(nx, ny)
     rng = np.random.default_rng(seed)
     w = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
     phi = CellField(m, rng.uniform(-1.0, 1.0, m.n_cells))
     wv, pv = w.values, phi.values
-    terms = [tau * (wv[K] - wv[L]) * (pv[K] - pv[L])
-             for K, L, tau in m.interior_faces()]
+    faces = interior_faces(m)
+    # face differences in face-list order once the zeroed row ends are cut
+    diffs = face_differences(wv, nx)
+    row_ends = np.arange(nx - 1, m.n_cells, nx)
+    assert np.all(diffs[row_ends] == 0.0)
+    assert np.array_equal(np.delete(diffs, row_ends),
+                          [wv[K] - wv[L] for K, L, _ in faces])
+    terms = [tau * (wv[K] - wv[L]) * (pv[K] - pv[L]) for K, L, tau in faces]
     got = grad_form_h(w, phi)
     assert abs(got - sum(terms)) <= 1e-12 * sum(abs(t) for t in terms)
 

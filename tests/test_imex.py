@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gsfv.diffusion import ImplicitDiffusionOperator, NoConvergence, solve
+from gsfv.diffusion import (SERIES_MAX_PASSES, ImplicitDiffusionOperator,
+                            NoConvergence, series_passes, solve)
 from gsfv.field import CellField, full, inner_h, project
 from gsfv.imex import (GrayScottParams, MonitorReport, NonFiniteState,
                        RunConfig, SimState, reaction_f, reaction_g, run, step)
 from gsfv.mesh import build_mesh
 from gsfv.mms import tanh_case
 from gsfv.patterns import pattern_initial_condition
+from oracles import step_cg
 
 LAB = GrayScottParams(1.6e-5, 8e-6, 0.037, 0.060)
 
@@ -236,13 +238,23 @@ def test_large_dt_stays_finite():
     assert state.u.is_finite() and state.v.is_finite()
 
 
+# d_u's series bound 8 dt d_u / h^2 on the 37^2 mesh just inside the
+# largest pass count of the series rule, and just outside it (the DCT path)
+_EDGE = 2.0 ** (-53.0 / (SERIES_MAX_PASSES + 1)) / (8.0 * LAB.d_u * 37 ** 2)
+
+
 @pytest.mark.parametrize("nx, dt", [(16, 1.0), (37, 37.0 ** -2),
-                                    (128, 1.0), (128, 128.0 ** -2)])
+                                    (128, 1.0), (128, 128.0 ** -2),
+                                    (37, 0.9 * _EDGE), (37, 1.1 * _EDGE)])
 @pytest.mark.parametrize("with_sources", [False, True])
 def test_step_matches_step_assembled_from_reactions(nx, dt, with_sources):
     # the step's shared u v^2 and in-place right-hand side must round as
-    # reaction_f, reaction_g and h^2 (u + dt f) do
+    # reaction_f, reaction_g and h^2 (u + dt f) do, and the whole step must
+    # agree with the same arithmetic on the CG reference solve
     m = build_mesh(nx, nx)
+    if dt in (0.9 * _EDGE, 1.1 * _EDGE):
+        assert series_passes(ImplicitDiffusionOperator(m, LAB.d_u, dt)) == (
+            SERIES_MAX_PASSES if dt < _EDGE else None)
     rng = np.random.default_rng(nx)
     u, v = rng.uniform(0, 1, m.n_cells), rng.uniform(0, 1, m.n_cells)
     sources = None
@@ -257,10 +269,14 @@ def test_step_matches_step_assembled_from_reactions(nx, dt, with_sources):
                    CellField(m, h2 * (u + dt * fu)))
     want_v = solve(ImplicitDiffusionOperator(m, LAB.d_v, dt),
                    CellField(m, h2 * (v + dt * gv)))
-    got = step(SimState(0, 0.3, CellField(m, u), CellField(m, v)), LAB, dt,
-               sources)
+    state = SimState(0, 0.3, CellField(m, u), CellField(m, v))
+    got = step(state, LAB, dt, sources)
     assert np.array_equal(got.u.values, want_u.values)
     assert np.array_equal(got.v.values, want_v.values)
+    ref = step_cg(state, LAB, dt, sources)
+    for new, cg in ((got.u, ref.u), (got.v, ref.v)):
+        assert np.linalg.norm(new.values - cg.values) <= \
+            1e-12 * np.linalg.norm(cg.values)
 
 
 def test_sources_sampled_at_old_time():
