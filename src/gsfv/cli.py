@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .diffusion import ImplicitDiffusionOperator, NoConvergence, series_passes
+from .diffusion import ImplicitDiffusionOperator, NoConvergence, solve_path
 from .field import CellField
 from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
 from .mesh import InvalidSize, build_mesh
@@ -202,12 +202,11 @@ def _t_end(args, cfg: dict, default: float) -> float:
 
 
 def _solver_paths(mesh, dt: float, d_u: float, d_v: float):
-    """The path solve() takes per species: "series" or "dct" when both
-    species take the same one, else the two keyed by species."""
-    paths = {}
-    for species, d in (("u", d_u), ("v", d_v)):
-        p = series_passes(ImplicitDiffusionOperator(mesh, d, dt))
-        paths[species] = "dct" if p is None else "series"
+    """The path solve() takes per species ("series", "dct" or "fft"): one
+    name when both species take the same one, else the two keyed by
+    species."""
+    paths = {species: solve_path(ImplicitDiffusionOperator(mesh, d, dt))
+             for species, d in (("u", d_u), ("v", d_v))}
     return paths["u"] if paths["u"] == paths["v"] else paths
 
 

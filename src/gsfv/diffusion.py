@@ -11,9 +11,9 @@ The orthonormal 2-D DCT-II basis Q diagonalises A on the uniform grid, with
 eigenvalues h^2 + c L, c = dt * d and
 L = 4 sin^2(pi i / 2 nx) + 4 sin^2(pi j / 2 ny)
 (Strang, SIAM Rev. 41, 1999; Schumann & Sweet, J. Comput. Phys. 20, 1976).
-solve() takes one of two exact paths:
+solve() takes one of three exact paths, which solve_path() names:
 
-- The series. A = h^2 (I + c' K) with c' = c / h^2, and L < 8, so
+- "series". A = h^2 (I + c' K) with c' = c / h^2, and L < 8, so
   rho = 8 c' bounds the spectral radius of c' K. series_passes() returns
   the least p with rho^(p+1) <= 2^-53, or None when that p exceeds
   SERIES_MAX_PASSES. For p <= SERIES_MAX_PASSES solve() takes p Horner
@@ -22,10 +22,15 @@ solve() takes one of two exact paths:
   SIAM 2003) and returns y / h^2. The error after p passes is
   (-c' K)^(p+1) applied to x, at most rho^(p+1) ||x||: the DCT's rounding.
   The runs at dt = h^2 take it (rho ~ 1e-4, p = 3 or 4).
-- The cosine basis, for every other operator (the pattern runs at dt = 1,
-  the stiff end), described below.
+- "dct" and "fft", the cosine basis, for every other operator (the
+  pattern runs at dt = 1, the stiff end): by folded dense products below
+  FFT_MIN_CELLS cells, by real FFTs from there up. Dense products cost
+  O(n^3) multiply-adds per n x n mesh and FFTs O(n^2 log n); the comment
+  at FFT_MIN_CELLS records where they cross. Meshes with a side that has
+  a prime factor above 11 stay on the dense products, as numpy's FFT is
+  several times slower on such lengths.
 
-The cosine path makes one forward and one inverse transform and no
+Both cosine paths make one forward and one inverse transform and no
 operator apply. With phi = c L / (h^2 + c L),
 A^-1 = (I - Q phi Q^T) / h^2, so
 x = rhs / h^2 - Q (phi / h^2) Q^T (rhs - s) for any shift s, as phi is 0 on
@@ -33,22 +38,40 @@ the constant mode. The correction is A^-1 applied to the residual
 rhs - A (rhs / h^2), formed in spectral space; relative to x it is at most
 c L / h^2, so near the identity (dt ~ h^2) its rounding is far below that
 of rhs / h^2. With s = rhs[0] a constant rhs transforms an exact zero and
-is solved exactly. The factor grid -phi / h^2 is cached per operator.
+is solved exactly. The factors are cached per operator.
 
-It never forms the n x n cosine matrix Q. Its columns are mirror
-symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a transform needs only its top
-m = ceil(n/2) rows: the even-k coefficients depend only on the sums of
-mirrored input entries, the odd-k ones only on their differences (a
-butterfly; the inverse unfolds the same way). Each of the four n x n x n
-products of a dense transform becomes two (n/2) x (n/2) x n products, half
-the multiply-adds. For odd n the middle row is its own mirror and is
-counted once; the odd-k block is padded to m columns with a zero column,
-and its middle row is exactly 0. Coefficients stay in this [even | odd]
-order between the forward and the inverse transform.
+Neither forms the n x n cosine matrix Q. Its columns are mirror
+symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a dense transform needs only
+its top m = ceil(n/2) rows: the even-k coefficients depend only on the
+sums of mirrored input entries, the odd-k ones only on their differences
+(a butterfly; the inverse unfolds the same way). Each of the four
+n x n x n products of a dense transform becomes two (n/2) x (n/2) x n
+products, half the multiply-adds. For odd n the middle row is its own
+mirror and is counted once; the odd-k block is padded to m columns with a
+zero column, and its middle row is exactly 0. Coefficients stay in this
+[even | odd] order between the forward and the inverse transform.
 
-The products and butterflies write into two scratch buffers cached per
-mesh shape; the series alternates its passes between the first of them and
-the result, and forms its face differences in a third, cached likewise. So
+The FFT path makes each 1-D transform from one real FFT of the same
+length (Makhoul, IEEE Trans. ASSP 28, 1980). With the input reordered as
+[evens | reversed odds], V its DFT and z_k = exp(-i pi k / 2n) V_k, the
+unnormalised DCT-II coefficient of mode k is Re z_k and that of mode n - k
+is -Im z_k, for k <= n/2. The inverse pairs the coefficients as
+Y_k - i Y_(n-k), multiplies by the conjugate twiddle and inverts the FFT;
+it is the unnormalised DCT-III with weights 1/n on mode 0 and 2/n on the
+rest, the squares of Q's normalisations, so the scaling is -phi / h^2
+itself. The mesh rows are transformed this way first. Their coefficients
+are written transposed, so that the column transforms also run along
+contiguous memory (at 512^2 a real FFT along axis 0 took 1.1 ms, along
+axis 1 0.66 ms). Between the forward and the inverse column FFT the
+twiddle, the scaling of the modes j and ny - j, and the conjugate
+twiddle are one real symmetric 2 x 2 map [[P, R], [R, Q]] on (Re, Im) of
+frequency j, cached per operator.
+
+The products, butterflies and FFTs write into two real scratch buffers
+cached per mesh shape, and the FFTs into one complex buffer besides; the
+series alternates its passes between the first real buffer and the
+result, and forms its face differences in another, cached likewise. The
+real buffers start on cache-line boundaries (_aligned_empty). So
 neither solve() nor the series is re-entrant across threads (nothing in the
 package calls them from more than one thread). The result of solve() is a
 new array.
@@ -94,12 +117,27 @@ class ImplicitDiffusionOperator:
 
 
 SERIES_MAX_PASSES = 4  # above it the series no longer beats the DCT at 64^2
+# The cosine basis by real FFTs from this many cells up, by folded dense
+# products below. Min of 30 solves at dt = 1, one BLAS thread: dense vs FFT
+# 0.65 vs 0.71 ms at 192^2, 1.06 vs 1.13 at 224^2, 1.23 vs 1.10 at 240^2,
+# 1.44 vs 1.39 at 256^2, 10.6 vs 6.5 at 512^2.
+FFT_MIN_CELLS = 240 * 240
+
+
+def _aligned_empty(size: int) -> np.ndarray:
+    """size doubles starting on a 64-byte (cache line) boundary; numpy's
+    allocator aligns to 16 bytes only. Four series passes at 128^2 took
+    ~145 us with every buffer on a line boundary and 195-205 us with the
+    scratch where the heap happened to put it (min of 300, one process)."""
+    buf = np.empty(size + 7)
+    k = -buf.ctypes.data % 64 // 8
+    return buf[k:k + size]
 
 
 @functools.lru_cache(maxsize=16)
 def _flux_scratch(n_cells: int, nx: int) -> np.ndarray:
     """The series' face-difference scratch: 2 n_cells - nx doubles."""
-    return np.empty(2 * n_cells - nx)
+    return _aligned_empty(2 * n_cells - nx)
 
 
 def _add_fluxes(g: np.ndarray, nx: int, c: float, base: np.ndarray,
@@ -130,6 +168,12 @@ def apply(op: ImplicitDiffusionOperator, u: CellField) -> CellField:
     return CellField(op.mesh, _apply_values(op, u.values))
 
 
+def _neumann_eigenvalues(n: int) -> np.ndarray:
+    """4 sin^2(pi k / 2n), k = 0 .. n-1: the eigenvalues of the 1-D Neumann
+    stiffness for the DCT-II columns k."""
+    return 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+
+
 @functools.lru_cache(maxsize=16)
 def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Top m = ceil(n/2) rows of the orthonormal DCT-II matrix
@@ -142,7 +186,7 @@ def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(n)
     q = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / n) * math.sqrt(2.0 / n)
     q[:, 0] = math.sqrt(1.0 / n)
-    lam = 4.0 * np.sin(0.5 * np.pi * k / n) ** 2
+    lam = _neumann_eigenvalues(n)
     blocks = np.zeros((2, m, m))
     blocks[0] = q[:, 0::2]
     blocks[1, :, :n // 2] = q[:, 1::2]
@@ -161,9 +205,10 @@ def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     """Two flat scratch buffers for solve() on an ny x nx mesh, each the
     size of the padded coefficient array: n_cells doubles for even sizes.
-    The series uses the first n_cells doubles of the first."""
+    The FFT path uses the first n_cells doubles of each, the series those
+    of the first."""
     size = 4 * ((ny + 1) // 2) * ((nx + 1) // 2)
-    return np.empty(size), np.empty(size)
+    return _aligned_empty(size), _aligned_empty(size)
 
 
 @functools.lru_cache(maxsize=16)
@@ -210,11 +255,34 @@ def series_passes(op: ImplicitDiffusionOperator) -> int | None:
     return None
 
 
+def _fft_radices_only(n: int) -> bool:
+    """Whether n factors over 2, 3, 5, 7 and 11. Larger prime factors make
+    numpy's FFT several times slower: a 257^2 solve took 5.6 ms by FFTs
+    against 1.7 ms by dense products, a 509^2 one 40 against 16."""
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def solve_path(op: ImplicitDiffusionOperator) -> str:
+    """The path solve() takes for op: "series" when series_passes(op) gives
+    a pass count; else the cosine basis, by real FFTs ("fft") on meshes of
+    at least FFT_MIN_CELLS cells whose sides factor over 2, 3, 5, 7 and 11,
+    by folded dense products ("dct") on the others."""
+    if series_passes(op) is not None:
+        return "series"
+    m = op.mesh
+    if (m.n_cells >= FFT_MIN_CELLS and _fft_radices_only(m.nx)
+            and _fft_radices_only(m.ny)):
+        return "fft"
+    return "dct"
+
+
 def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
-    """Solve A x = rhs, exact to rounding, by the series when
-    series_passes(op) gives a pass count and in the cosine eigenbasis
-    otherwise (module docstring). Works in buffers cached per mesh shape, so
-    it is not re-entrant across threads; the returned array is always new.
+    """Solve A x = rhs, exact to rounding, on the path solve_path(op) names
+    (module docstring). Works in buffers cached per mesh shape, so it is
+    not re-entrant across threads; the returned array is always new.
     Raises NoConvergence (0 iterations, nan residual) when rhs is
     non-finite.
     """
@@ -223,9 +291,11 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     if not np.isfinite(rhs.values).all():
         raise NoConvergence(0, math.nan)
     p = series_passes(op)
-    if p is None:
-        return _solve_dct(op, rhs)
-    return _solve_series(op, rhs, p)
+    if p is not None:
+        return _solve_series(op, rhs, p)
+    if solve_path(op) == "fft":
+        return _solve_fft(op, rhs)
+    return _solve_dct(op, rhs)
 
 
 def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
@@ -249,8 +319,109 @@ def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
     return CellField(m, x)
 
 
+@functools.lru_cache(maxsize=16)
+def _fft_scratch(ny: int, nx: int) -> np.ndarray:
+    """The FFT path's complex buffer for an ny x nx mesh: room for the row
+    spectrum, ny x (nx/2 + 1), and the column spectrum, nx x (ny/2 + 1)."""
+    return np.empty(max(ny * (nx // 2 + 1), nx * (ny // 2 + 1)), complex)
+
+
+@functools.lru_cache(maxsize=16)
+def _twiddles(n: int) -> np.ndarray:
+    """exp(-i pi k / 2n) and its conjugate for k = 0 .. n/2, as a read-only
+    (2, n // 2 + 1) array."""
+    w = np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    tw = np.stack([w, w.conj()])
+    tw.setflags(write=False)
+    return tw
+
+
+@functools.lru_cache(maxsize=16)
+def _fft_factor(ny: int, nx: int, h2: float, c: float) -> np.ndarray:
+    """The FFT path's map for the operator with c = dt * d on an ny x nx
+    mesh of spacing sqrt(h2): a read-only (3, nx, ny // 2 + 1) stack
+    [P, Q, R] indexed [column mode, row frequency j]. With f = -phi / h^2,
+    f1 = f at row mode j, f2 = f at row mode ny - j (mode 0 at j = 0) and
+    t = pi j / 2 ny: P = f1 cos^2 t + f2 sin^2 t, Q = f1 sin^2 t +
+    f2 cos^2 t, R = (f1 - f2) sin t cos t."""
+    cl = c * (_neumann_eigenvalues(nx)[:, None]
+              + _neumann_eigenvalues(ny)[None, :])
+    f = -cl / (h2 + cl) / h2
+    j = np.arange(ny // 2 + 1)
+    f1, f2 = f[:, j], f[:, -j]
+    t = 0.5 * np.pi * j / ny
+    cos2, sin2 = np.cos(t) ** 2, np.sin(t) ** 2
+    pqr = np.stack([f1 * cos2 + f2 * sin2, f1 * sin2 + f2 * cos2,
+                    (f1 - f2) * (np.sin(t) * np.cos(t))])
+    pqr.setflags(write=False)
+    return pqr
+
+
+def _solve_fft(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
+    """Solve A x = rhs exactly in the cosine eigenbasis, by real FFTs.
+
+    The same x as _solve_dct, each 1-D transform made by Makhoul's
+    reordering (module docstring). The shifted rows are reordered, FFT'd
+    and twiddled. Their real coefficients are written transposed, one
+    column mode per row, with the mesh rows reordered along it; each such
+    row gets one real FFT, the 2 x 2 map of _fft_factor and one inverse
+    real FFT. The result is paired back into the row spectrum, twiddled
+    back, inverse FFT'd, un-reordered and added to rhs / h^2.
+    """
+    m = op.mesh
+    ny, nx = m.ny, m.nx
+    n, h2 = m.n_cells, m.h ** 2
+    v = rhs.values
+    x = v / h2
+    my, mx, kx = (ny + 1) // 2, (nx + 1) // 2, nx // 2 + 1
+    a, b = _workspace(ny, nx)
+    z = _fft_scratch(ny, nx)
+    zr, zc = z[:ny * kx].reshape(ny, kx), z[:nx * (ny // 2 + 1)].reshape(nx, -1)
+    w, w_conj = _twiddles(nx)
+    # rows: reorder [evens | reversed odds], transform, twiddle
+    v2, rows = v.reshape(ny, nx), a[:n].reshape(ny, nx)
+    np.subtract(v2[:, 0::2], v[0], out=rows[:, :mx])
+    np.subtract(v2[:, 1::2], v[0], out=rows[:, :mx - 1:-1])
+    np.fft.rfft(rows, axis=1, out=zr)
+    zr *= w
+    # real coefficients [Re | -Im reversed], transposed, the mesh rows
+    # reordered along each. -1.0 * and not np.negative: numpy 2.4's negative
+    # loop misreads an input strided by 64 bytes into a strided output
+    cols = b[:n].reshape(nx, ny)
+    for src, dst in ((zr[0::2], cols[:, :my]), (zr[1::2], cols[:, :my - 1:-1])):
+        np.copyto(dst[:kx], src.real.T)
+        np.multiply(src.imag[:, 1:mx].T, -1.0, out=dst[:kx - 1:-1])
+    # columns: transform, map each frequency pair, transform back
+    np.fft.rfft(cols, axis=1, out=zc)
+    p, q, r = _fft_factor(ny, nx, h2, op.dt * op.d)
+    re, im = zc.real, zc.imag
+    t1, t2 = a[:zc.size].reshape(zc.shape), b[:zc.size].reshape(zc.shape)
+    np.multiply(r, im, out=t1)
+    np.multiply(r, re, out=t2)
+    re *= p
+    re += t1
+    im *= q
+    im += t2
+    cols = a[:n].reshape(nx, ny)
+    np.fft.irfft(zc, n=ny, axis=1, out=cols)
+    # rows back: pair Y_k - i Y_(n-k) with the mesh rows un-reordered,
+    # twiddle back, transform, un-reorder and add
+    for src, dst in ((cols[:, :my], zr[0::2]), (cols[:, :my - 1:-1], zr[1::2])):
+        np.copyto(dst.real, src[:kx].T)
+        np.multiply(src[:-kx:-1].T, -1.0, out=dst.imag[:, 1:])
+    zr.imag[:, 0] = 0.0  # Y_n = 0
+    zr *= w_conj
+    rows = b[:n].reshape(ny, nx)
+    np.fft.irfft(zr, n=nx, axis=1, out=rows)
+    x2 = x.reshape(ny, nx)
+    x2[:, 0::2] += rows[:, :mx]
+    x2[:, 1::2] += rows[:, :mx - 1:-1]
+    return CellField(m, x)
+
+
 def _solve_dct(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
-    """Solve A x = rhs exactly in the cosine eigenbasis.
+    """Solve A x = rhs exactly in the cosine eigenbasis, by folded dense
+    products.
 
     Returns rhs / h^2 plus the spectral correction described in the module
     docstring, with the shift s = rhs[0]. The shifted values are folded by

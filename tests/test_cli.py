@@ -297,10 +297,12 @@ def test_convergence_too_small_size_leaves_no_output(tmp_path, capsys):
     ([], "dct"),
     (["--dt", "1e-4", "--t-end", "1e-3"], "series"),
     (["--dt", "1e-4", "--t-end", "1e-3", "--d-u", "1", "--d-v", "8e-6"],
-     {"u": "dct", "v": "series"})])
+     {"u": "dct", "v": "series"}),
+    (["--nx", "256"], "fft")])
 def test_simulate_manifest_names_solver_path(tmp_path, extra, solver):
-    # dt = 1 takes the cosine basis; at dt = 1e-4 on 16^2, rho = 8 dt d / h^2
-    # is at most 3.3e-6 for the default diffusivities, and 0.2 for d_u = 1
+    # dt = 1 takes the cosine basis, by FFTs at 256^2; at dt = 1e-4 on 16^2,
+    # rho = 8 dt d / h^2 is at most 3.3e-6 for the default diffusivities,
+    # and 0.2 for d_u = 1
     out = tmp_path / "sim"
     rc = main(["simulate", "--preset", "labyrinthine", "--nx", "16",
                "--t-end", "2", *extra, "--out", str(out)])

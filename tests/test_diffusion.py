@@ -18,9 +18,9 @@ def _series(op, rhs):
 
 
 def _paths(op):
-    """The two paths of solve(), forced: the cosine basis always, the
-    series where the rule allows it (elsewhere it diverges or is slow)."""
-    paths = [diffusion._solve_dct]
+    """The paths of solve(), forced: both cosine paths always, the series
+    where the rule allows it (elsewhere it diverges or is slow)."""
+    paths = [diffusion._solve_dct, diffusion._solve_fft]
     if diffusion.series_passes(op) is not None:
         paths.append(_series)
     return paths
@@ -130,38 +130,10 @@ def test_stiffness_mass_neutral(ou):
     assert abs(total - mass) <= 1e-12 * (1.0 + float(np.sum(np.abs(Au))))
 
 
-def test_solve_constant_rhs_immediate():
-    m = build_mesh(4, 4)
-    op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    x = solve_cg(op, full(m, m.h ** 2))
-    assert np.array_equal(x.values, np.ones(16))
-
-
-def test_solve_round_trip():
-    rng = np.random.default_rng(7)
-    m = build_mesh(8, 8)
-    op = ImplicitDiffusionOperator(m, 0.3, 2.0)
-    x_true = rng.uniform(-1, 1, m.n_cells)
-    rhs = apply(op, CellField(m, x_true))
-    tol = 1e-10
-    x = solve_cg(op, rhs, tol=tol)
-    rel = np.linalg.norm(x.values - x_true) / np.linalg.norm(x_true)
-    assert rel <= 10 * tol
-
-
-def test_solve_matches_dense_elimination():
-    m = build_mesh(2, 2)
-    op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    rhs = CellField(m, np.array([1.0, 0.0, 0.0, 0.0]))
-    want = np.linalg.solve(dense_operator(m, 1.0, 1.0), rhs.values)
-    got = solve_cg(op, rhs, tol=1e-13).values
-    assert np.max(np.abs(got - want)) <= 1e-10
-
-
 def test_solve_zero_rhs():
     m = build_mesh(4, 4)
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    for solver in (solve, solve_cg):
+    for solver in [solve] + _paths(op):
         x = solver(op, full(m, 0.0))
         assert np.array_equal(x.values, np.zeros(16))
 
@@ -169,31 +141,14 @@ def test_solve_zero_rhs():
 def test_solve_validation():
     m = build_mesh(2, 2)
     op = ImplicitDiffusionOperator(m, 1.0, 1.0)
-    rhs = full(m, 1.0)
-    with pytest.raises(ValueError):
-        solve_cg(op, rhs, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_cg(op, rhs, tol=1.0)
-    with pytest.raises(ValueError):
-        solve_cg(op, rhs, max_iter=0)
-    for solver in (solve, solve_cg):
-        with pytest.raises(MeshMismatch):
-            solver(op, full(build_mesh(4, 4), 1.0))
+    with pytest.raises(MeshMismatch):
+        solve(op, full(build_mesh(4, 4), 1.0))
     with pytest.raises(MeshMismatch):
         apply(op, full(build_mesh(4, 4), 1.0))
 
 
-def test_no_convergence_reports_state():
-    m = build_mesh(8, 8)
-    op = ImplicitDiffusionOperator(m, 5.0, 10.0)
-    rhs = CellField(m, np.eye(m.n_cells)[0])
-    with pytest.raises(NoConvergence) as ei:
-        solve_cg(op, rhs, tol=1e-14, max_iter=1)
-    assert ei.value.iterations == 1
-    assert np.isfinite(ei.value.residual)
-
-
-@pytest.mark.parametrize("solver", [solve, solve_cg])
+# the CG oracle's cases of this test are in test_oracles.py
+@pytest.mark.parametrize("solver", [solve])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_rhs_raises_at_once(solver, bad):
     m = build_mesh(16, 16)
@@ -218,17 +173,20 @@ def test_solve_accepts_huge_finite_rhs():
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-# Oracles for the eigenbasis solve. Tolerances are relative 2-norms: 1e-12
+# Oracles for the eigenbasis solves. Tolerances are relative 2-norms: 1e-12
 # against dense elimination on the acceptance-07 meshes (condition numbers
-# up to ~130), 1e-10 against CG at tol=1e-13 (condition numbers up to ~8e3).
+# up to ~130), 1e-10 against CG at tol=1e-13 (condition numbers up to ~8e3),
+# 1e-12 between the two cosine paths.
 
 def test_solve_matches_dense_on_oracle_meshes():
     rng = np.random.default_rng(11)
     meshes = [build_mesh(n, n) for n in range(2, 9)]
     meshes.append(build_mesh(4, 8))
-    # odd sizes pin the folded basis's middle row and pad column
+    # odd sizes pin the folded basis's middle row and pad column, and the
+    # FFT path's reordering and pairing at its narrowest odd widths
     meshes += [build_mesh(5, 7), build_mesh(7, 4), build_mesh(8, 3),
-               build_mesh(37, 5)]
+               build_mesh(37, 5), build_mesh(3, 2), build_mesh(3, 9),
+               build_mesh(9, 3), build_mesh(11, 4), build_mesh(2, 13)]
     for m in meshes:
         for d, dt in ((1.6e-5, 1.0), (1.0, 0.25)):
             op = ImplicitDiffusionOperator(m, d, dt)
@@ -262,8 +220,10 @@ def test_solve_constant_rhs_exact(nx, ny, c, d, dt):
     # constants to h^2 c
     m = build_mesh(nx, ny)
     h = m.h
-    x = solve(ImplicitDiffusionOperator(m, d, dt), full(m, c * h * h))
-    assert np.array_equal(x.values, np.full(m.n_cells, c))
+    op = ImplicitDiffusionOperator(m, d, dt)
+    for path in [solve] + _paths(op):
+        x = path(op, full(m, c * h * h))
+        assert np.array_equal(x.values, np.full(m.n_cells, c)), path
 
 
 @pytest.mark.parametrize("nx, ny", [(128, 128), (512, 512), (129, 127)])
@@ -276,7 +236,7 @@ def test_solve_agrees_with_cg_at_production_sizes(nx, ny, dt_rule):
     rhs = CellField(m, np.random.default_rng(nx + ny).uniform(0, 1, m.n_cells))
     want = solve_cg(op, rhs, tol=1e-13).values
     # dt = h^2 takes the series, dt = 1 the cosine basis
-    assert len(_paths(op)) == (2 if dt_rule == "h^2" else 1)
+    assert len(_paths(op)) == (3 if dt_rule == "h^2" else 2)
     for path in [solve] + _paths(op):
         got = path(op, rhs).values
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -288,25 +248,29 @@ def test_solve_workspace_does_not_leak_between_calls():
     op = ImplicitDiffusionOperator(m, 0.5, 0.01)
     b1 = CellField(m, rng.uniform(-1, 1, m.n_cells))
     b2 = CellField(m, rng.uniform(-1, 1, m.n_cells))
-    first = solve(op, b1)
-    kept = first.values.copy()
-    second = solve(op, b2)
-    solve(ImplicitDiffusionOperator(other, 0.5, 0.01),
-          CellField(other, rng.uniform(-1, 1, other.n_cells)))
-    assert np.array_equal(first.values, kept)
-    assert not np.shares_memory(first.values, second.values)
-    want = solve(op, b2).values.copy()
-    second.values[:] = np.nan
-    again = solve(op, b2)
-    assert np.array_equal(again.values, want)
-    assert not np.shares_memory(again.values, second.values)
-    # the series works in the cosine path's scratch
+    b_other = CellField(other, rng.uniform(-1, 1, other.n_cells))
     near = ImplicitDiffusionOperator(m, 0.5, 1e-7)
     assert diffusion.series_passes(near) is not None
-    third = solve(near, b1)
-    assert np.array_equal(first.values, kept)
-    assert np.array_equal(solve(op, b2).values, want)
-    assert not np.shares_memory(third.values, again.values)
+    kept = []
+    # the two cosine paths share the real scratch
+    for cosine in (diffusion._solve_dct, diffusion._solve_fft):
+        first = cosine(op, b1)
+        kept.append((first, first.values.copy()))
+        second = cosine(op, b2)
+        cosine(ImplicitDiffusionOperator(other, 0.5, 0.01), b_other)
+        assert np.array_equal(first.values, kept[-1][1])
+        assert not np.shares_memory(first.values, second.values)
+        want = cosine(op, b2).values.copy()
+        second.values[:] = np.nan
+        again = cosine(op, b2)
+        assert np.array_equal(again.values, want)
+        assert not np.shares_memory(again.values, second.values)
+        # the series works in the cosine paths' scratch
+        third = solve(near, b1)
+        assert np.array_equal(cosine(op, b2).values, want)
+        assert not np.shares_memory(third.values, again.values)
+    for result, values in kept:
+        assert np.array_equal(result.values, values)
 
 
 @pytest.mark.parametrize("nx, ny", [(128, 128), (127, 127), (37, 5)])
@@ -316,7 +280,7 @@ def test_solve_near_identity_residual(nx, ny):
     m = build_mesh(nx, ny)
     op = ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)
     b = np.random.default_rng(nx * ny).uniform(0.0, 1.0, m.n_cells)
-    assert len(_paths(op)) == 2
+    assert len(_paths(op)) == 3
     for path in _paths(op):
         x = path(op, CellField(m, b))
         r = apply(op, x).values - b
@@ -339,31 +303,88 @@ def test_solve_large_first_cell_agrees_with_cg(dt_rule):
 
 def test_solve_factor_cache_keyed_per_operator():
     # two species at the pattern step and one at the ladder step share a
-    # mesh; the cosine path is forced, as solve() takes the series at dt = h^2
+    # mesh; the cosine paths are forced, as solve() takes the series at
+    # dt = h^2
     m = build_mesh(24, 24)
     ops = [ImplicitDiffusionOperator(m, 1.6e-5, 1.0),
            ImplicitDiffusionOperator(m, 0.8e-5, 1.0),
            ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)]
     rhs = CellField(m, np.random.default_rng(9).uniform(0.0, 1.0, m.n_cells))
-    first = []
-    for op in ops:
-        diffusion._spectral_factor.cache_clear()
-        first.append(diffusion._solve_dct(op, rhs).values)
-    for _ in range(2):
-        for op, want in zip(ops, first):
-            assert np.array_equal(diffusion._solve_dct(op, rhs).values, want)
+    for path, factor in ((diffusion._solve_dct, diffusion._spectral_factor),
+                         (diffusion._solve_fft, diffusion._fft_factor)):
+        first = []
+        for op in ops:
+            factor.cache_clear()
+            first.append(path(op, rhs).values)
+        for _ in range(2):
+            for op, want in zip(ops, first):
+                assert np.array_equal(path(op, rhs).values, want)
 
 
 def test_solve_cached_arrays_read_only():
     m = build_mesh(6, 5)
     op = ImplicitDiffusionOperator(m, 0.5, 0.1)
-    solve(op, full(m, 1.0))
-    factor = diffusion._spectral_factor(m.ny, m.nx, m.h ** 2, op.dt * op.d)
+    for path in [solve] + _paths(op):
+        path(op, full(m, 1.0))
+    h2, c = m.h ** 2, op.dt * op.d
+    factor = diffusion._spectral_factor(m.ny, m.nx, h2, c)
     blocks, lam = diffusion._folded_basis(m.nx)
-    for arr in (factor, blocks, lam):
+    for arr in (factor, blocks, lam, diffusion._fft_factor(m.ny, m.nx, h2, c),
+                diffusion._twiddles(m.nx)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+
+
+def test_solve_scratch_starts_on_cache_lines():
+    # the series' passes slow by ~30% at 128^2 with the scratch mid-line
+    for nx, ny in ((2, 2), (37, 5), (128, 128), (129, 127)):
+        n = nx * ny
+        for buf in (*diffusion._workspace(ny, nx),
+                    diffusion._flux_scratch(n, nx)):
+            assert buf.ctypes.data % 64 == 0
+            assert buf.flags.c_contiguous
+
+
+# The FFT path against the dense one, at 1e-12 relative (the dense products
+# carry most of that: against a known solution the FFT path's error was ~60
+# times smaller at 512^2), in the pattern runs' regime and at the stiff end,
+# on every width from 2 to 9 and at the sizes on each side of the switch.
+
+@pytest.mark.parametrize("nx, ny", [(nx, ny) for nx in range(2, 10)
+                                    for ny in (2, 3, 4, 7)]
+                         + [(3, 40), (12, 2), (37, 5), (129, 127),
+                            (256, 256), (257, 256), (300, 301), (511, 511),
+                            (512, 512), (513, 512)])
+def test_fft_matches_dct(nx, ny):
+    m = build_mesh(nx, ny)
+    rhs = CellField(m, np.random.default_rng(nx * ny).uniform(-1, 1, m.n_cells))
+    for d, dt in ((1.6e-5, 1.0), (8e-6, 1.0), (1.6e-5, 64 * m.h)):
+        op = ImplicitDiffusionOperator(m, d, dt)
+        want = diffusion._solve_dct(op, rhs).values
+        got = diffusion._solve_fft(op, rhs).values
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel <= 1e-12, (d, dt, rel)
+
+
+def test_solve_path_rule():
+    def path(nx, ny, dt=1.0):
+        return diffusion.solve_path(
+            ImplicitDiffusionOperator(build_mesh(nx, ny), 1.6e-5, dt))
+
+    # the pattern runs: 128^2 on the dense products, 512^2 on the FFTs
+    assert path(128, 128) == "dct"
+    assert path(512, 512) == "fft"
+    assert path(512, 512, dt=1.0 / 512 ** 2) == "series"
+    # just below and at the switch, on sides the FFT has passes for
+    assert 256 * 224 < diffusion.FFT_MIN_CELLS <= 240 * 240
+    assert path(256, 224) == "dct"
+    assert path(240, 240) == "fft"
+    assert path(1920, 30) == "fft"
+    assert path(242, 242) == "fft"  # 2 * 11^2
+    # a prime factor above 11 on either side keeps the dense products
+    for nx, ny in ((257, 256), (256, 257), (260, 260), (509, 509)):
+        assert path(nx, ny) == "dct", (nx, ny)
 
 
 # The series path. Its truncation error is at most rho^(p+1) ||x|| <= 2^-53
@@ -494,13 +515,16 @@ def test_series_passes_is_least_count_within_bound(log_rho, n):
 @pytest.mark.parametrize("dt_rule", ["1", "h^2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_rhs_raises_on_both_paths(dt_rule, bad):
-    m = build_mesh(16, 16)
-    dt = 1.0 if dt_rule == "1" else m.h ** 2
-    op = ImplicitDiffusionOperator(m, 1.6e-5, dt)
-    assert (diffusion.series_passes(op) is None) == (dt_rule == "1")
-    b = np.ones(m.n_cells)
-    b[37] = bad
-    with pytest.raises(NoConvergence) as ei:
-        solve(op, CellField(m, b))
-    assert ei.value.iterations == 0
-    assert math.isnan(ei.value.residual)
+    # dt = 1 takes the dense products at 16^2 and the FFTs at 256^2
+    for n, cosine in ((16, "dct"), (256, "fft")):
+        m = build_mesh(n, n)
+        dt = 1.0 if dt_rule == "1" else m.h ** 2
+        op = ImplicitDiffusionOperator(m, 1.6e-5, dt)
+        assert diffusion.solve_path(op) == (
+            cosine if dt_rule == "1" else "series")
+        b = np.ones(m.n_cells)
+        b[37] = bad
+        with pytest.raises(NoConvergence) as ei:
+            solve(op, CellField(m, b))
+        assert ei.value.iterations == 0
+        assert math.isnan(ei.value.residual)

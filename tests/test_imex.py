@@ -120,8 +120,9 @@ def test_step_deterministic():
     assert np.array_equal(a.v.values, b.v.values)
 
 
-# Hashes u and v after three dt = 1 steps at 128^2 from a seeded random
-# state; the solve runs on BLAS, so the thread count must not change a bit.
+# Hashes u and v after three dt = 1 steps from a seeded random state, at
+# 128^2 and 127^2 (the dense cosine products, on BLAS) and 256^2 (the FFTs);
+# the thread count must not change a bit.
 _HASH_STEPS = """
 import hashlib
 import numpy as np
@@ -129,7 +130,7 @@ from gsfv.field import CellField
 from gsfv.imex import GrayScottParams, SimState, step
 from gsfv.mesh import build_mesh
 digest = hashlib.sha256()
-for n in (128, 127):
+for n in (128, 127, 256):
     m = build_mesh(n, n)
     rng = np.random.default_rng(5)
     s = SimState(0, 0.0, CellField(m, rng.random(m.n_cells)),
