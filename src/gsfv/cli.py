@@ -66,8 +66,8 @@ def write_field_snapshot(field: CellField, path: str,
                 fh.write(np.flipud(pix).tobytes())
         elif fmt == "csv":
             with open(path, "w", encoding="ascii") as fh:
-                for j in range(m.ny):
-                    fh.write(",".join(repr(float(x)) for x in grid[j]))
+                for row in grid.tolist():
+                    fh.write(",".join(map(repr, row)))
                     fh.write("\n")
         else:
             raise ValueError(f"unknown snapshot format {fmt!r}")

@@ -38,7 +38,10 @@ the constant mode. The correction is A^-1 applied to the residual
 rhs - A (rhs / h^2), formed in spectral space; relative to x it is at most
 c L / h^2, so near the identity (dt ~ h^2) its rounding is far below that
 of rhs / h^2. With s = rhs[0] a constant rhs transforms an exact zero and
-is solved exactly. The factors are cached per operator.
+is solved exactly. One uncached helper, _factor_grid, evaluates -phi / h^2
+on the natural ny x nx mode grid. Per operator, the dense path caches its
+copy in folded order (_spectral_factor) and the FFT path the 2 x 2 maps
+built from its transpose (_fft_factor).
 
 Neither forms the n x n cosine matrix Q. Its columns are mirror
 symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a dense transform needs only
@@ -67,20 +70,21 @@ twiddle, the scaling of the modes j and ny - j, and the conjugate
 twiddle are one real symmetric 2 x 2 map [[P, R], [R, Q]] on (Re, Im) of
 frequency j, cached per operator.
 
-The products, butterflies and FFTs write into two real scratch buffers
-cached per mesh shape, and the FFTs into one complex buffer besides; the
-series alternates its passes between the first real buffer and the
-result, and forms its face differences in another, cached likewise. The
-real buffers start on cache-line boundaries (_aligned_empty). So
-neither solve() nor the series is re-entrant across threads (nothing in the
-package calls them from more than one thread). The result of solve() is a
-new array.
+All three paths work in one scratch cache, _workspace, per mesh shape:
+two real buffers and one complex one, each starting on a cache line
+(_aligned_empty). The products, butterflies and FFTs write into the real
+buffers, and the FFTs into the complex one besides; the series alternates
+its passes between the first real buffer and the result, and forms its
+face differences in the second. solve() holds one module lock while it
+uses that scratch, so threads that solve at once take turns and get the
+results a serial caller would. The result of solve() is a new array.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +94,8 @@ from .mesh import UniformMesh
 
 
 class NoConvergence(RuntimeError):
-    """A solve produced no solution: solve() raises it at once, with
-    iterations 0 and residual nan, for a non-finite right-hand side."""
-
-    def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"no convergence in {iterations} iterations, "
-            f"relative residual {residual:.3e}")
+    """A solve produced no solution: solve() raises it at once, with the
+    message "non-finite right-hand side", when rhs is not finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +129,6 @@ def _aligned_empty(size: int) -> np.ndarray:
     buf = np.empty(size + 7)
     k = -buf.ctypes.data % 64 // 8
     return buf[k:k + size]
-
-
-@functools.lru_cache(maxsize=16)
-def _flux_scratch(n_cells: int, nx: int) -> np.ndarray:
-    """The series' face-difference scratch: 2 n_cells - nx doubles."""
-    return _aligned_empty(2 * n_cells - nx)
 
 
 def _add_fluxes(g: np.ndarray, nx: int, c: float, base: np.ndarray,
@@ -174,52 +165,62 @@ def _neumann_eigenvalues(n: int) -> np.ndarray:
     return 4.0 * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
 
 
+def _factor_grid(ny: int, nx: int, h2: float, c: float) -> np.ndarray:
+    """-phi / h^2, phi = c L / (h^2 + c L), for the operator with c = dt * d
+    on an ny x nx mesh of spacing sqrt(h2): an (ny, nx) array indexed
+    [row mode, column mode], 0 on the constant mode."""
+    cl = c * (_neumann_eigenvalues(ny)[:, None] + _neumann_eigenvalues(nx))
+    return -cl / (h2 + cl) / h2
+
+
 @functools.lru_cache(maxsize=16)
-def _folded_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _folded_basis(n: int) -> np.ndarray:
     """Top m = ceil(n/2) rows of the orthonormal DCT-II matrix
     Q[i, k] = c_k cos(pi (i + 1/2) k / n), c_0 = sqrt(1/n), c_k = sqrt(2/n),
-    as a (2, m, m) stack of its even-k and its odd-k columns, with the
-    eigenvalues 4 sin^2(pi k / 2n) of the 1-D Neumann stiffness for those
-    columns in the same (2, m) order. For odd n the odd block's last column
-    is a zero pad with eigenvalue 0, and its middle row is exactly 0."""
+    as a read-only (2, m, m) stack of its even-k and its odd-k columns. For
+    odd n the odd block's last column is a zero pad, and its middle row is
+    exactly 0."""
     m = (n + 1) // 2
     k = np.arange(n)
     q = np.cos(np.pi * np.outer(np.arange(m) + 0.5, k) / n) * math.sqrt(2.0 / n)
     q[:, 0] = math.sqrt(1.0 / n)
-    lam = _neumann_eigenvalues(n)
     blocks = np.zeros((2, m, m))
     blocks[0] = q[:, 0::2]
     blocks[1, :, :n // 2] = q[:, 1::2]
-    lam_p = np.zeros((2, m))
-    lam_p[0] = lam[0::2]
-    lam_p[1, :n // 2] = lam[1::2]
     if n % 2:
         # cos(pi k / 2) for odd k, which rounding leaves at ~1e-16
         blocks[1, m - 1] = 0.0
     blocks.setflags(write=False)
-    lam_p.setflags(write=False)
-    return blocks, lam_p
+    return blocks
 
 
 @functools.lru_cache(maxsize=16)
-def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two flat scratch buffers for solve() on an ny x nx mesh, each the
-    size of the padded coefficient array: n_cells doubles for even sizes.
-    The FFT path uses the first n_cells doubles of each, the series those
-    of the first."""
+def _workspace(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scratch of every solve on an ny x nx mesh, each buffer flat and
+    starting on a cache line: a real buffer the size of the padded
+    coefficient array (n_cells doubles for even sizes); a second one that
+    also has room for the series' 2 n_cells - nx face differences; and the
+    FFT path's complex buffer, with room for the row spectrum,
+    ny x (nx/2 + 1), and the column spectrum, nx x (ny/2 + 1). solve()
+    holds _scratch_lock while it uses them."""
     size = 4 * ((ny + 1) // 2) * ((nx + 1) // 2)
-    return _aligned_empty(size), _aligned_empty(size)
+    n_spec = max(ny * (nx // 2 + 1), nx * (ny // 2 + 1))
+    return (_aligned_empty(size), _aligned_empty(max(size, 2 * ny * nx - nx)),
+            _aligned_empty(2 * n_spec).view(complex))
+
+
+_scratch_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=16)
 def _spectral_factor(ny: int, nx: int, h2: float, c: float) -> np.ndarray:
-    """-phi / h^2, phi = c L / (h^2 + c L), for the operator with c = dt * d
-    on an ny x nx mesh of spacing sqrt(h2): a read-only (2, 2, my, mx) array
-    in solve()'s coefficient order [row parity, column parity, row mode,
-    column mode], 0 on the constant mode and on pad modes."""
-    lam_y, lam_x = _folded_basis(ny)[1], _folded_basis(nx)[1]
-    cl = c * (lam_y[:, None, :, None] + lam_x[None, :, None, :])
-    f = -cl / (h2 + cl) / h2
+    """_factor_grid in solve()'s coefficient order [row parity, column
+    parity, row mode, column mode]: a read-only (2, 2, my, mx) copy, 0 on
+    pad modes."""
+    my, mx = (ny + 1) // 2, (nx + 1) // 2
+    f = np.zeros((2 * my, 2 * mx))
+    f[:ny, :nx] = _factor_grid(ny, nx, h2, c)
+    f = np.ascontiguousarray(f.reshape(my, 2, mx, 2).transpose(1, 3, 0, 2))
     f.setflags(write=False)
     return f
 
@@ -281,49 +282,42 @@ def solve_path(op: ImplicitDiffusionOperator) -> str:
 
 def solve(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     """Solve A x = rhs, exact to rounding, on the path solve_path(op) names
-    (module docstring). Works in buffers cached per mesh shape, so it is
-    not re-entrant across threads; the returned array is always new.
-    Raises NoConvergence (0 iterations, nan residual) when rhs is
-    non-finite.
+    (module docstring). Threads that call it at once take turns on the
+    scratch of _workspace; the returned array is always new. Raises
+    NoConvergence when rhs is non-finite.
     """
     if not rhs.mesh.compatible(op.mesh):
         raise MeshMismatch("rhs mesh does not match operator mesh")
     if not np.isfinite(rhs.values).all():
-        raise NoConvergence(0, math.nan)
-    p = series_passes(op)
-    if p is not None:
-        return _solve_series(op, rhs, p)
-    if solve_path(op) == "fft":
-        return _solve_fft(op, rhs)
-    return _solve_dct(op, rhs)
+        raise NoConvergence("non-finite right-hand side")
+    path = solve_path(op)
+    with _scratch_lock:
+        if path == "series":
+            return _solve_series(op, rhs)
+        if path == "fft":
+            return _solve_fft(op, rhs)
+        return _solve_dct(op, rhs)
 
 
-def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField,
-                  p: int) -> CellField:
-    """p Horner passes y <- rhs - c' K y from y = rhs, then x = y / h^2.
-    The passes alternate between the result and a cached scratch so that
-    the last one writes the result."""
+def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
+    """series_passes(op) Horner passes y <- rhs - c' K y from y = rhs, then
+    x = y / h^2. The passes alternate between the result and the first
+    scratch buffer so that the last one writes the result; the face
+    differences go to the second."""
     m = op.mesh
     h2 = m.h ** 2
     v = rhs.values
     x = np.empty_like(v)
-    s = _workspace(m.ny, m.nx)[0][:m.n_cells]
-    f = _flux_scratch(m.n_cells, m.nx)
+    a, b, _ = _workspace(m.ny, m.nx)
+    s, f = a[:m.n_cells], b[:2 * m.n_cells - m.nx]
     c = -(op.dt * op.d / h2)
     y = v
-    for k in range(p, 0, -1):  # k passes left
+    for k in range(series_passes(op), 0, -1):  # k passes left
         out = x if k % 2 else s
         _add_fluxes(y, m.nx, c, v, out, f)
         y = out
     np.divide(y, h2, out=x)
     return CellField(m, x)
-
-
-@functools.lru_cache(maxsize=16)
-def _fft_scratch(ny: int, nx: int) -> np.ndarray:
-    """The FFT path's complex buffer for an ny x nx mesh: room for the row
-    spectrum, ny x (nx/2 + 1), and the column spectrum, nx x (ny/2 + 1)."""
-    return np.empty(max(ny * (nx // 2 + 1), nx * (ny // 2 + 1)), complex)
 
 
 @functools.lru_cache(maxsize=16)
@@ -340,13 +334,11 @@ def _twiddles(n: int) -> np.ndarray:
 def _fft_factor(ny: int, nx: int, h2: float, c: float) -> np.ndarray:
     """The FFT path's map for the operator with c = dt * d on an ny x nx
     mesh of spacing sqrt(h2): a read-only (3, nx, ny // 2 + 1) stack
-    [P, Q, R] indexed [column mode, row frequency j]. With f = -phi / h^2,
-    f1 = f at row mode j, f2 = f at row mode ny - j (mode 0 at j = 0) and
-    t = pi j / 2 ny: P = f1 cos^2 t + f2 sin^2 t, Q = f1 sin^2 t +
-    f2 cos^2 t, R = (f1 - f2) sin t cos t."""
-    cl = c * (_neumann_eigenvalues(nx)[:, None]
-              + _neumann_eigenvalues(ny)[None, :])
-    f = -cl / (h2 + cl) / h2
+    [P, Q, R] indexed [column mode, row frequency j]. With f the
+    transposed _factor_grid, f1 = f at row mode j, f2 = f at row mode
+    ny - j (mode 0 at j = 0) and t = pi j / 2 ny: P = f1 cos^2 t +
+    f2 sin^2 t, Q = f1 sin^2 t + f2 cos^2 t, R = (f1 - f2) sin t cos t."""
+    f = _factor_grid(ny, nx, h2, c).T
     j = np.arange(ny // 2 + 1)
     f1, f2 = f[:, j], f[:, -j]
     t = 0.5 * np.pi * j / ny
@@ -374,8 +366,7 @@ def _solve_fft(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     v = rhs.values
     x = v / h2
     my, mx, kx = (ny + 1) // 2, (nx + 1) // 2, nx // 2 + 1
-    a, b = _workspace(ny, nx)
-    z = _fft_scratch(ny, nx)
+    a, b, z = _workspace(ny, nx)
     zr, zc = z[:ny * kx].reshape(ny, kx), z[:nx * (ny // 2 + 1)].reshape(nx, -1)
     w, w_conj = _twiddles(nx)
     # rows: reorder [evens | reversed odds], transform, twiddle
@@ -436,13 +427,13 @@ def _solve_dct(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
     h2 = m.h ** 2
     v = rhs.values
     x = v / h2
-    by, bx = _folded_basis(ny)[0], _folded_basis(nx)[0]
+    by, bx = _folded_basis(ny), _folded_basis(nx)
     my, mx = by.shape[1], bx.shape[1]
-    a, b = _workspace(ny, nx)
+    a, b, _ = _workspace(ny, nx)
     half = 2 * my * nx
     a2, b2 = a[:half].reshape(2, my, nx), b[:half].reshape(2, my, nx)
     # coefficient blocks, indexed [row parity, column parity]
-    a4, b4 = a.reshape(2, 2, my, mx), b.reshape(2, 2, my, mx)
+    a4, b4 = a.reshape(2, 2, my, mx), b[:a.size].reshape(2, 2, my, mx)
     r = b[:m.n_cells].reshape(ny, nx)
     np.subtract(v.reshape(ny, nx), v[0], out=r)
     # forward: fold and transform the rows, then the columns

@@ -65,11 +65,10 @@ class NonFiniteState(NoConvergence):
     else (kinetics or sources overflowed) the species whose solve failed."""
 
     def __init__(self, step: int, t: float, species: str):
-        super().__init__(0, math.nan)
+        super().__init__(f"non-finite {species} at step {step}, t={t!r}")
         self.step = step
         self.t = t
         self.species = species
-        self.args = (f"non-finite {species} at step {step}, t={t!r}",)
 
 
 BOUND_TOLERANCE = 1e-12  # RunConfig's default slack on the [0, 1] bounds

@@ -40,12 +40,24 @@ def dense_operator(mesh, d, dt) -> np.ndarray:
     return A
 
 
+class CGNoConvergence(NoConvergence):
+    """solve_cg stopped short of its tolerance after iterations iterations,
+    at the relative residual residual (nan when it could not start)."""
+
+    def __init__(self, iterations: int, residual: float):
+        self.iterations = iterations
+        self.residual = residual
+        super().__init__(
+            f"no convergence in {iterations} iterations, "
+            f"relative residual {residual:.3e}")
+
+
 def solve_cg(op, rhs, tol=1e-10, max_iter=1000):
     """Solve A x = rhs by CG to ||A x - rhs||_2 <= tol * ||rhs||_2.
 
     The initial guess is rhs / h^2 (exact when rhs is constant). Raises
-    NoConvergence with the iteration count and final relative residual, or
-    at once (0 iterations, nan residual) when rhs is non-finite or
+    CGNoConvergence with the iteration count and final relative residual,
+    or at once (0 iterations, nan residual) when rhs is non-finite or
     ||rhs||^2 overflows (values above ~1e154), since the stopping test
     needs ||rhs||_2.
     """
@@ -58,7 +70,7 @@ def solve_cg(op, rhs, tol=1e-10, max_iter=1000):
     b = rhs.values
     bb = float(np.dot(b, b))
     if not math.isfinite(bb):
-        raise NoConvergence(0, math.nan)
+        raise CGNoConvergence(0, math.nan)
     bnorm = math.sqrt(bb)
     x = b / op.mesh.h ** 2
     if bnorm == 0.0:
@@ -80,7 +92,7 @@ def solve_cg(op, rhs, tol=1e-10, max_iter=1000):
             return CellField(op.mesh, x)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise NoConvergence(max_iter, float(np.sqrt(rs)) / bnorm)
+    raise CGNoConvergence(max_iter, float(np.sqrt(rs)) / bnorm)
 
 
 def step_cg(state, params, dt, sources=None):

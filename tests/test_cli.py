@@ -75,12 +75,19 @@ def test_pgm_clips_and_orients(tmp_path):
 def test_csv_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     m = build_mesh(5, 3)
-    f = CellField(m, rng.uniform(-1, 1, 15))
+    vals = rng.uniform(-1, 1, 15)
+    vals[[0, 6, 14]] = -0.0, 5e-324, 1e300
+    f = CellField(m, vals)
     path = tmp_path / "f.csv"
     write_field_snapshot(f, str(path), fmt="csv")
+    # the pinned format: repr of each double, one mesh row per line
+    assert path.read_text(encoding="ascii") == "".join(
+        ",".join(repr(float(x)) for x in row) + "\n"
+        for row in vals.reshape(3, 5))
     back = read_field_csv(str(path))
     assert back.shape == (3, 5)
     assert np.array_equal(back.ravel(), f.values)
+    assert np.array_equal(np.signbit(back.ravel()), np.signbit(f.values))
 
 
 def test_snapshot_write_failure(tmp_path):
