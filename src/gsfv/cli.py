@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ def write_field_snapshot(field: CellField, path: str,
     PGM: values are clipped to [0, 1] and scaled to 0..65535, rows written
     top-to-bottom (largest y first); a header comment carries the manifest
     reference. CSV: one row per mesh row in cell order (smallest y first),
-    full double precision via repr, no comment rows.
+    full double precision via repr, formatted a row at a time, no comment
+    rows.
     """
     m = field.mesh
     grid = field.values.reshape(m.ny, m.nx)
@@ -66,8 +68,8 @@ def write_field_snapshot(field: CellField, path: str,
                 fh.write(np.flipud(pix).tobytes())
         elif fmt == "csv":
             with open(path, "w", encoding="ascii") as fh:
-                for row in grid.tolist():
-                    fh.write(",".join(map(repr, row)))
+                for row in grid:
+                    fh.write(",".join(map(repr, row.tolist())))
                     fh.write("\n")
         else:
             raise ValueError(f"unknown snapshot format {fmt!r}")
@@ -76,14 +78,24 @@ def write_field_snapshot(field: CellField, path: str,
 
 
 def read_field_csv(path: str) -> np.ndarray:
-    """Read a CSV value grid back as a (ny, nx) array, bit-exact."""
+    """Read a CSV value grid back as a (ny, nx) array, bit-exact.
+
+    Parsed straight into float64 by numpy. An empty file, a ragged row or
+    a token that is not a number raises ValueError naming the path.
+    """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            rows = [[float(tok) for tok in line.strip().split(",")]
-                    for line in fh if line.strip()]
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as loadtxt's warning
+            warnings.simplefilter("ignore", UserWarning)
+            grid = np.loadtxt(path, delimiter=",", dtype=np.float64,
+                              ndmin=2, comments=None, encoding="ascii")
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
-    return np.asarray(rows, dtype=np.float64)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    if grid.size == 0:
+        raise ValueError(f"{path}: no values")
+    return grid
 
 
 def write_error_table(table: ErrorTable, path: str) -> None:
@@ -211,7 +223,10 @@ def _solver_paths(mesh, dt: float, d_u: float, d_v: float):
 
 
 def _fmt_t(t: float) -> str:
-    return f"{t:g}"
+    """t for a snapshot file name: %g unless that loses digits, else repr,
+    so two snapshot times never share a name."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
 
 
 def _diffusivities(args, cfg: dict) -> tuple[float, float]:

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, strategies as st
 
 import gsfv
 from gsfv.cli import (CSV_HEADER, ERROR_COLUMNS, IoFailure, _build_parser,
-                      main, read_field_csv, write_error_table,
+                      _fmt_t, main, read_field_csv, write_error_table,
                       write_field_snapshot)
 from gsfv import diffusion
 from gsfv.field import CellField, full, project
@@ -26,7 +27,7 @@ from gsfv.imex import RunConfig
 from gsfv.mesh import UniformMesh, build_mesh
 from gsfv.mms import (ErrorRow, ErrorTable, interface_study, stability_study,
                       tanh_case)
-from gsfv.patterns import run_pattern
+from gsfv.patterns import SNAPSHOT_TIMES, run_pattern
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -88,6 +89,49 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert back.shape == (3, 5)
     assert np.array_equal(back.ravel(), f.values)
     assert np.array_equal(np.signbit(back.ravel()), np.signbit(f.values))
+
+
+def test_csv_snapshot_memory_is_streamed(tmp_path):
+    # rows are formatted and parsed one at a time: no Python float per cell
+    m = build_mesh(256, 256)
+    f = CellField(m, np.random.default_rng(5).uniform(0.0, 1.0, m.n_cells))
+    path = str(tmp_path / "f.csv")
+    tracemalloc.start()
+    try:
+        write_field_snapshot(f, path, fmt="csv")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_field_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.ravel(), f.values)
+    assert write_peak < 0.5 * f.values.nbytes
+    assert read_peak < 2.5 * f.values.nbytes
+
+
+def test_read_field_csv_rejects_bad_input(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=re.escape(str(empty))):
+        read_field_csv(str(empty))
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("1.0,2.0\n3.0\n")
+    with pytest.raises(ValueError, match="at row 2") as err:
+        read_field_csv(str(ragged))
+    assert str(ragged) in str(err.value)
+    with pytest.raises(IoFailure):
+        read_field_csv(str(tmp_path / "missing.csv"))
+
+
+def test_fmt_t_keeps_every_digit():
+    assert _fmt_t(2000.0) == "2000"
+    assert _fmt_t(1e-07) == "1e-07"
+    # %g keeps 6 digits, so these two used to share the name u_t100000
+    assert _fmt_t(100000.0) == "100000"
+    assert _fmt_t(100000.5) == "100000.5"
+    for t in SNAPSHOT_TIMES:  # every preset's names are the %g ones
+        assert _fmt_t(t) == f"{t:g}"
 
 
 def test_snapshot_write_failure(tmp_path):
