@@ -15,7 +15,7 @@ from .mms import (DomainError, ErrorRow, ErrorTable, ManufacturedCase,
                   stability_study, tanh_case, trig_case)
 from .patterns import (PatternPreset, Snapshot, UnknownPreset, preset,
                        preset_names, pattern_initial_condition, run_pattern)
-from .cli import (IoFailure, RunManifest, read_field_csv, write_error_table,
+from .cli import (IoFailure, read_field_csv, write_error_table,
                   write_field_snapshot)
 
 __all__ = [
@@ -32,6 +32,5 @@ __all__ = [
     "stability_study", "tanh_case", "trig_case",
     "PatternPreset", "Snapshot", "UnknownPreset", "preset", "preset_names",
     "pattern_initial_condition", "run_pattern",
-    "IoFailure", "RunManifest", "read_field_csv", "write_error_table",
-    "write_field_snapshot",
+    "IoFailure", "read_field_csv", "write_error_table", "write_field_snapshot",
 ]

@@ -28,12 +28,11 @@ from . import __version__
 from .diffusion import ImplicitDiffusionOperator, NoConvergence, solve_path
 from .field import CellField
 from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
-from .mesh import InvalidSize, build_mesh
-from .mms import (DomainError, ErrorTable, SampleTimeUnreachable,
-                  UnresolvableInterface, _check_convergence,
-                  _check_interface, _check_stability, residual_check,
-                  tanh_case, trig_case, ERROR_COLUMNS)
-from .patterns import UnknownPreset, _check_pattern, preset, preset_names
+from .mesh import build_mesh
+from .mms import (ErrorTable, _check_convergence, _check_interface,
+                  _check_stability, residual_check, tanh_case, trig_case,
+                  ERROR_COLUMNS)
+from .patterns import DEFAULT_D_U, _check_pattern, preset, preset_names
 
 CSV_HEADER = ("h,dt,err_Linf_L2_u,err_Linf_L2_v,"
               "err_Linf_Linf_u,err_Linf_Linf_v,runtime_s")
@@ -121,46 +120,28 @@ def write_error_table(table: ErrorTable, path: str) -> None:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
-@dataclass
-class RunManifest:
-    """Configuration echo, timestamps, monitor summary, output list."""
-
-    command: str
-    version: str
-    created_utc: str
-    config: dict
-    monitors: dict | None
-    outputs: list
-
-    def write(self, out_dir: str) -> str:
-        path = os.path.join(out_dir, MANIFEST_NAME)
-        try:
-            with open(path, "w", encoding="ascii") as fh:
-                json.dump(asdict(self), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as e:
-            raise IoFailure(f"cannot write {path}: {e}") from e
-        return path
-
-
 def _monitor_summary(report: MonitorReport) -> dict:
-    return {
-        "steps": report.steps,
-        "shortened_final_step": report.shortened_final_step,
-        "min_u": report.min_u, "max_u": report.max_u,
-        "min_v": report.min_v, "max_v": report.max_v,
-        "bound_violations": report.bound_violations,
-        "energy_max": report.energy_max,
-        "dissipation_total": report.dissipation[-1]
-        if report.dissipation else 0.0,
-    }
+    summary = asdict(report)
+    dissipation = summary.pop("dissipation")
+    summary["dissipation_total"] = dissipation[-1] if dissipation else 0.0
+    return summary
 
 
-def _manifest(command: str, config: dict, monitors: dict | None,
-              outputs: list) -> RunManifest:
-    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return RunManifest(command, __version__, created, config, monitors,
-                       list(outputs))
+def _write_manifest(out: str, command: str, config: dict,
+                    monitors: dict | None, outputs: list) -> None:
+    """Write out/manifest.json: configuration echo, timestamp, monitor
+    summary and output list."""
+    path = os.path.join(out, MANIFEST_NAME)
+    manifest = {"command": command, "version": __version__,
+                "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
+                                             time.gmtime()),
+                "config": config, "monitors": monitors, "outputs": outputs}
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise IoFailure(f"cannot write {path}: {e}") from e
 
 
 def _ensure_out_dir(path: str) -> None:
@@ -170,9 +151,13 @@ def _ensure_out_dir(path: str) -> None:
         raise IoFailure(f"cannot create {path}: {e}") from e
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_options(path: str) -> list:
+    """A --config file's JSON object as command-line options.
+
+    A key becomes its long option ("t_end" -> --t-end); true is the bare
+    flag, false and null leave the option at its default, a list is joined
+    with commas and any other value is given as --key=value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -180,37 +165,43 @@ def _load_config(path: str | None) -> dict:
         raise IoFailure(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
-    return cfg
+    options = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            options.append(flag)
+        elif value is not False and value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            options.append(f"{flag}={value}")  # "-inf" is read as a value
+    return options
 
 
-def _opt(args, cfg: dict, key: str, default):
-    """Resolve one option: explicit flag > config file > default."""
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if key in cfg:
-        return cfg[key]
-    return default
+def _parse(parser: argparse.ArgumentParser, argv: list):
+    """Parse argv; a --config file's options go in right after the
+    (sub)command names, so that the user's own options win over them and
+    both pass the same types and choices."""
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    depth = 2 if args.command == "mms" else 1
+    return parser.parse_args(argv[:depth] + _config_options(args.config)
+                             + argv[depth:])
 
 
-def _numbers(text, kind=float) -> list:
-    if isinstance(text, (list, tuple)):
-        return [kind(x) for x in text]
-    return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+def _list_of(kind):
+    """argparse type: comma-separated values of kind, empty items dropped."""
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # for its errors
+    return parse
 
 
-def _sample_times(args, cfg: dict):
-    """None means "let the study pick its T-dependent default"."""
-    raw = _opt(args, cfg, "sample_times", None)
-    return None if raw is None else _numbers(raw)
-
-
-def _t_end(args, cfg: dict, default: float) -> float:
+def _t_end(args) -> float:
     """The --t-end option, checked finite before any output is made."""
-    t_end = float(_opt(args, cfg, "t_end", default))
-    if not math.isfinite(t_end):
-        raise ValueError(f"need a finite --t-end, got {t_end}")
-    return t_end
+    if not math.isfinite(args.t_end):
+        raise ValueError(f"need a finite --t-end, got {args.t_end}")
+    return args.t_end
 
 
 def _solver_paths(mesh, dt: float, d_u: float, d_v: float):
@@ -229,74 +220,59 @@ def _fmt_t(t: float) -> str:
     return short if float(short) == t else repr(t)
 
 
-def _diffusivities(args, cfg: dict) -> tuple[float, float]:
+def _diffusivities(args) -> tuple[float, float]:
     """d_u and d_v; d_v defaults to d_u / 2."""
-    d_u = float(_opt(args, cfg, "d_u", 1.6e-5))
-    d_v_opt = _opt(args, cfg, "d_v", None)
-    d_v = float(d_v_opt) if d_v_opt is not None else d_u / 2.0
-    return d_u, d_v
+    return args.d_u, (args.d_u / 2.0 if args.d_v is None else args.d_v)
 
 
-def _params_from(args, cfg: dict) -> GrayScottParams:
-    d_u, d_v = _diffusivities(args, cfg)
-    F = float(_opt(args, cfg, "F", 0.037))
-    k = float(_opt(args, cfg, "k", 0.060))
-    return GrayScottParams(d_u, d_v, F, k)
+def _params_from(args) -> GrayScottParams:
+    return GrayScottParams(*_diffusivities(args), args.F, args.k)
 
 
-def _case_from(args, cfg: dict, params: GrayScottParams):
-    name = _opt(args, cfg, "case", "trig")
-    if name == "trig":
-        return trig_case(float(_opt(args, cfg, "a", 0.5)), params)
-    if name == "tanh":
-        return tanh_case(float(_opt(args, cfg, "eps", 0.1)), params,
-                         variant=_opt(args, cfg, "variant", "centered"))
-    raise ValueError(f"unknown case {name!r}; have trig, tanh")
+def _case_from(args, params: GrayScottParams):
+    if args.case == "trig":
+        return trig_case(args.a, params)
+    return tanh_case(args.eps, params, variant=args.variant)
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    name = _opt(args, cfg, "preset", None)
-    if name is None:
+    if args.preset is None:
         raise ValueError("simulate needs --preset")
-    pat = preset(name)
-    nx = int(_opt(args, cfg, "nx", 128))
-    dt = float(_opt(args, cfg, "dt", 1.0))
-    t_end = _t_end(args, cfg, 2000.0)
-    d_u, d_v = _diffusivities(args, cfg)
-    snap_opt = _opt(args, cfg, "snapshots", None)
-    snap_times = _numbers(snap_opt) if snap_opt is not None else None
-    with_v = bool(args.with_v or cfg.get("with_v", False))
-    out = _opt(args, cfg, "out", None)
+    pat = preset(args.preset)
+    t_end = _t_end(args)
+    d_u, d_v = _diffusivities(args)
+    out = args.out
     if out is None:
         raise ValueError("simulate needs --out")
-    mesh = build_mesh(nx, nx)
-    run = _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snap_times)
+    mesh = build_mesh(args.nx, args.nx)
+    run = _check_pattern(pat, mesh, args.dt, d_u, d_v, t_end, args.snapshots)
     _ensure_out_dir(out)
-    snaps, report = run()
+    outputs, times, finite = [], [], []
 
-    outputs = []
-    for snap in snaps:
-        fields = [("u", snap.u)] + ([("v", snap.v)] if with_v else [])
+    def take(snap) -> None:
+        """Write one snapshot as the run reaches it; none is held."""
+        times.append(snap.t)
+        finite.append(snap.u.is_finite() and snap.v.is_finite())
+        fields = [("u", snap.u)] + ([("v", snap.v)] if args.with_v else [])
         for label, fld in fields:
-            base = f"{label}_t{_fmt_t(snap.t)}"
-            write_field_snapshot(fld, os.path.join(out, base + ".pgm"), "pgm")
-            write_field_snapshot(fld, os.path.join(out, base + ".csv"), "csv")
-            outputs += [base + ".pgm", base + ".csv"]
+            for fmt in ("pgm", "csv"):
+                name = f"{label}_t{_fmt_t(snap.t)}.{fmt}"
+                write_field_snapshot(fld, os.path.join(out, name), fmt)
+                outputs.append(name)
 
-    config_echo = {"preset": pat.name, "F": pat.F, "k": pat.k, "nx": nx,
-                   "h": mesh.h, "dt": dt, "t_end": t_end, "d_u": d_u,
-                   "d_v": d_v, "with_v": with_v,
-                   "snapshot_times": [s.t for s in snaps],
-                   "solver": _solver_paths(mesh, dt, d_u, d_v),
+    report = run(take)
+    config_echo = {"preset": pat.name, "F": pat.F, "k": pat.k,
+                   "nx": args.nx, "h": mesh.h, "dt": args.dt,
+                   "t_end": t_end, "d_u": d_u, "d_v": d_v,
+                   "with_v": args.with_v, "snapshot_times": times,
+                   "solver": _solver_paths(mesh, args.dt, d_u, d_v),
                    "bound_tolerance": BOUND_TOLERANCE}
-    man = _manifest("simulate", config_echo, _monitor_summary(report),
+    _write_manifest(out, "simulate", config_echo, _monitor_summary(report),
                     outputs)
-    man.write(out)
     if report.bound_violations:
         print(f"warning: {report.bound_violations} monitored states "
               f"outside bounds (see {MANIFEST_NAME})", file=sys.stderr)
-    if not all(s.u.is_finite() and s.v.is_finite() for s in snaps):
+    if not all(finite):
         print("error: non-finite field values", file=sys.stderr)
         return 2
     print(f"wrote {len(outputs)} snapshot files + {MANIFEST_NAME} to {out}")
@@ -314,52 +290,37 @@ def _table_exit(table: ErrorTable, path: str) -> int:
     return 0
 
 
-def _read_convergence(args, cfg: dict, params: GrayScottParams):
-    case = _case_from(args, cfg, params)
-    sizes = _numbers(_opt(args, cfg, "sizes", "16,32,64,128"), int)
-
-    def check(T, samples):
-        return _check_convergence(case, params, sizes, T, samples)
-
+def _read_convergence(args, params: GrayScottParams, T: float):
+    case = _case_from(args, params)
+    run = _check_convergence(case, params, args.sizes, T, args.sample_times)
     fname = f"convergence_{case.label.split('_')[0]}.csv"
-    return check, fname, {"case": case.label, "sizes": sizes}
+    return run, fname, {"case": case.label, "sizes": args.sizes}
 
 
-def _read_stability(args, cfg: dict, params: GrayScottParams):
-    case = _case_from(args, cfg, params)
-    nx = int(_opt(args, cfg, "nx", 128))
-    mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
-    ks = _numbers(_opt(args, cfg, "multipliers", "1,2,4,16,32,64"))
-
-    def check(T, samples):
-        return _check_stability(case, params, ks, mesh, T, samples)
-
+def _read_stability(args, params: GrayScottParams, T: float):
+    case = _case_from(args, params)
+    mesh = build_mesh(args.nx, args.nx)  # raises InvalidSize for nx < 2
+    run = _check_stability(case, params, args.multipliers, mesh, T,
+                           args.sample_times)
     fname = f"stability_{case.label.split('_')[0]}.csv"
-    return check, fname, {"case": case.label, "nx": nx, "multipliers": ks}
+    echo = {"case": case.label, "nx": args.nx, "multipliers": args.multipliers}
+    return run, fname, echo
 
 
-def _read_interface(args, cfg: dict, params: GrayScottParams):
-    eps_list = _numbers(_opt(args, cfg, "eps_list", "0.2,0.1,0.05,0.025"))
-    nx = int(_opt(args, cfg, "nx", 128))
-    mesh = build_mesh(nx, nx)  # raises InvalidSize for nx < 2
-    dt = float(_opt(args, cfg, "dt", 1.0 / 256.0))
-    variant = _opt(args, cfg, "variant", "centered")
-
-    def check(T, samples):
-        return _check_interface(params, eps_list, mesh, dt, T, samples,
-                                variant)
-
-    echo = {"eps_list": eps_list, "nx": nx, "dt": dt}
-    return check, "interface_tanh.csv", echo
+def _read_interface(args, params: GrayScottParams, T: float):
+    mesh = build_mesh(args.nx, args.nx)  # raises InvalidSize for nx < 2
+    run = _check_interface(params, args.eps_list, mesh, args.dt, T,
+                           args.sample_times, args.variant)
+    echo = {"eps_list": args.eps_list, "nx": args.nx, "dt": args.dt}
+    return run, "interface_tanh.csv", echo
 
 
 @dataclass(frozen=True)
 class _Study:
     """One ``mms`` study subcommand.
 
-    read(args, cfg, params) resolves the study's own options and returns
-    (check(T, sample_times), CSV file name, config echo); check validates
-    every argument and returns the study's run, () -> ErrorTable.
+    read(args, params, T) validates every argument and returns (run, CSV
+    file name, config echo); run() -> ErrorTable.
     """
 
     help: str
@@ -371,20 +332,25 @@ class _Study:
 _STUDIES = {
     "convergence": _Study(
         "dt = h^2 refinement sweep", True,
-        (("--sizes", {"help": "comma-separated mesh sizes"}),),
+        (("--sizes", {"type": _list_of(int), "default": "16,32,64,128",
+                      "help": "comma-separated mesh sizes"}),),
         _read_convergence),
     "stability": _Study(
         "dt = k*h sweep on fixed mesh", True,
-        (("--nx", {"type": int}),
-         ("--multipliers", {"help": "comma-separated k values"})),
+        (("--nx", {"type": int, "default": 128}),
+         ("--multipliers", {"type": _list_of(float),
+                            "default": "1,2,4,16,32,64",
+                            "help": "comma-separated k values"})),
         _read_stability),
     "interface": _Study(
         "front-width sensitivity sweep", False,
-        (("--variant", {"choices": ("centered", "halfwave")}),
-         ("--eps-list", {"dest": "eps_list",
+        (("--variant", {"choices": ("centered", "halfwave"),
+                        "default": "centered"}),
+         ("--eps-list", {"dest": "eps_list", "type": _list_of(float),
+                         "default": "0.2,0.1,0.05,0.025",
                          "help": "comma-separated widths, descending"}),
-         ("--nx", {"type": int}),
-         ("--dt", {"type": float})),
+         ("--nx", {"type": int, "default": 128}),
+         ("--dt", {"type": float, "default": 1.0 / 256.0})),
         _read_interface),
 }
 
@@ -393,37 +359,31 @@ def _cmd_mms_study(args) -> int:
     """Shared scaffold: options, checks, out dir, run, CSV, manifest, exit
     code. Every usage error is raised before the out dir is made."""
     name = args.mms_command
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
-    check, fname, echo = _STUDIES[name].read(args, cfg, params)
-    T = _t_end(args, cfg, 1.0)
-    out = _opt(args, cfg, "out", None)
-    if out is None:
+    params = _params_from(args)
+    T = _t_end(args)
+    run, fname, echo = _STUDIES[name].read(args, params, T)
+    if args.out is None:
         raise ValueError(f"mms {name} needs --out")
-    run = check(T, _sample_times(args, cfg))
-    _ensure_out_dir(out)
+    _ensure_out_dir(args.out)
     table = run()
-    path = os.path.join(out, fname)
+    path = os.path.join(args.out, fname)
     write_error_table(table, path)
-    man = _manifest(f"mms {name}",
+    _write_manifest(args.out, f"mms {name}",
                     {**echo, "T": T, "params": asdict(params), **table.meta},
                     None, [fname])
-    man.write(out)
     return _table_exit(table, path)
 
 
 def _cmd_mms_residual(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params_from(args, cfg)
-    case = _case_from(args, cfg, params)
-    t = float(_opt(args, cfg, "t", 0.3))
-    sizes = _numbers(_opt(args, cfg, "sizes", "32,64"), int)
+    params = _params_from(args)
+    case = _case_from(args, params)
+    sizes = args.sizes
     if not sizes or sizes != sorted(set(sizes)):
         raise ValueError(f"need one or more ascending --sizes, got {sizes}")
     defects = []
     for nx in sizes:
         mesh = build_mesh(nx, nx)
-        du, dv = residual_check(case, t, mesh, mesh.h ** 2)
+        du, dv = residual_check(case, args.t, mesh, mesh.h ** 2)
         defects.append((nx, du, dv))
         print(f"nx={nx:4d} defect_u={du:.6e} defect_v={dv:.6e}")
     for (n0, du0, dv0), (n1, du1, dv1) in zip(defects, defects[1:]):
@@ -445,19 +405,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-volume Gray-Scott simulator and verification "
                     "harness")
     sub = ap.add_subparsers(dest="command")
+    config_help = "JSON object of options, read before the command line's"
 
     sim = sub.add_parser("simulate", help="run a pattern preset")
     sim.add_argument("--preset", choices=preset_names())
-    sim.add_argument("--nx", type=int)
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-end", dest="t_end", type=float)
-    sim.add_argument("--d-u", dest="d_u", type=float)
+    sim.add_argument("--nx", type=int, default=128)
+    sim.add_argument("--dt", type=float, default=1.0)
+    sim.add_argument("--t-end", dest="t_end", type=float, default=2000.0)
+    sim.add_argument("--d-u", dest="d_u", type=float, default=DEFAULT_D_U)
     sim.add_argument("--d-v", dest="d_v", type=float)
-    sim.add_argument("--snapshots", help="comma-separated times")
+    sim.add_argument("--snapshots", type=_list_of(float),
+                     help="comma-separated times")
     sim.add_argument("--with-v", dest="with_v", action="store_true",
                      help="also write v snapshots")
     sim.add_argument("--out")
-    sim.add_argument("--config", help="JSON file with option defaults")
+    sim.add_argument("--config", help=config_help)
     sim.set_defaults(func=_cmd_simulate)
 
     mms = sub.add_parser("mms", help="manufactured-solution studies")
@@ -465,31 +427,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_case=True):
         if with_case:
-            p.add_argument("--case", choices=("trig", "tanh"))
-            p.add_argument("--a", type=float, help="trig amplitude")
-            p.add_argument("--eps", type=float, help="tanh front width")
-            p.add_argument("--variant", choices=("centered", "halfwave"))
-        p.add_argument("--F", type=float)
-        p.add_argument("--k", type=float)
-        p.add_argument("--d-u", dest="d_u", type=float)
+            p.add_argument("--case", choices=("trig", "tanh"), default="trig")
+            p.add_argument("--a", type=float, default=0.5,
+                           help="trig amplitude")
+            p.add_argument("--eps", type=float, default=0.1,
+                           help="tanh front width")
+            p.add_argument("--variant", choices=("centered", "halfwave"),
+                           default="centered")
+        p.add_argument("--F", type=float, default=0.037)
+        p.add_argument("--k", type=float, default=0.060)
+        p.add_argument("--d-u", dest="d_u", type=float, default=DEFAULT_D_U)
         p.add_argument("--d-v", dest="d_v", type=float)
-        p.add_argument("--config", help="JSON file with option defaults")
+        p.add_argument("--config", help=config_help)
 
     for name, study in _STUDIES.items():
         p = msub.add_parser(name, help=study.help)
         common(p, with_case=study.with_case)
         for flag, kwargs in study.options:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--t-end", dest="t_end", type=float)
+        p.add_argument("--t-end", dest="t_end", type=float, default=1.0)
         p.add_argument("--sample-times", dest="sample_times",
+                       type=_list_of(float),
                        help="comma-separated error sample times")
         p.add_argument("--out")
         p.set_defaults(func=_cmd_mms_study)
 
     resid = msub.add_parser("residual", help="source-term defect oracle")
     common(resid)
-    resid.add_argument("--t", type=float)
-    resid.add_argument("--sizes", help="comma-separated mesh sizes")
+    resid.add_argument("--t", type=float, default=0.3)
+    resid.add_argument("--sizes", type=_list_of(int), default="32,64",
+                       help="comma-separated mesh sizes")
     resid.set_defaults(func=_cmd_mms_residual)
 
     pre = sub.add_parser("presets", help="list pattern presets")
@@ -500,23 +467,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 1
-        return 0 if code == 0 else 1
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 1
-    try:
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 1
         return args.func(args)
+    except SystemExit as e:  # from argparse: 0 after --help, else misuse
+        return 0 if e.code == 0 else 1
     except NoConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IoFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (UnknownPreset, DomainError, SampleTimeUnreachable,
-            UnresolvableInterface, InvalidSize, ValueError) as e:
+    except ValueError as e:  # every usage error the checks raise
         print(f"error: {e}", file=sys.stderr)
         return 1
 

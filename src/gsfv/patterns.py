@@ -84,14 +84,21 @@ def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
     """Run a preset from the seeded state, capturing snapshots.
 
     Snapshot times default to the preset's times clipped to t_end, with
-    t_end always included; each must be an integer multiple of dt. Returns
-    the snapshots (deep copies) and the monitor report of the whole run.
+    t_end always included; each must be an integer multiple of dt, and a
+    repeated time is taken once. Returns the snapshots (the run's own
+    fields, which no later step writes to) and the monitor report of the
+    whole run.
     """
-    return _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times)()
+    snaps: list = []
+    report = _check_pattern(pat, mesh, dt, d_u, d_v, t_end,
+                            snapshot_times)(snaps.append)
+    return snaps, report
 
 
 def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
-    """run_pattern's argument checks; returns the run itself."""
+    """run_pattern's argument checks; returns the run itself, which hands
+    each Snapshot to take(snapshot) as it is reached and returns the
+    MonitorReport."""
     if d_v is None:
         d_v = d_u / 2.0
     params = GrayScottParams(d_u, d_v, pat.F, pat.k)
@@ -100,7 +107,7 @@ def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
         times = sorted({t for t in pat.snapshot_times if t <= t_end + 1e-9}
                        | {t_end})
     else:
-        times = sorted(float(t) for t in snapshot_times)
+        times = sorted({float(t) for t in snapshot_times})
         if not (times and np.isfinite(times).all() and times[0] >= 0.0):
             raise ValueError(f"need finite --snapshots >= 0, got {times}")
         t_end = times[-1] if t_end is None else float(t_end)
@@ -115,18 +122,16 @@ def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
             raise ValueError(f"snapshot time {ts} not a multiple of dt={dt}")
     u0, v0 = pattern_initial_condition(mesh)  # rejects a non-square mesh
 
-    def go() -> tuple[list, MonitorReport]:
-        state = SimState(0, 0.0, u0, v0)
-        snaps: list = []
+    def go(take) -> MonitorReport:
         pending = list(times)
 
         def capture(s: SimState) -> None:
             while pending and s.t >= pending[0] - 1e-9 * max(pending[0], 1.0):
                 pending.pop(0)
-                snaps.append(Snapshot(s.t, s.u.copy(), s.v.copy()))
+                take(Snapshot(s.t, s.u, s.v))
 
+        state = SimState(0, 0.0, u0, v0)
         capture(state)  # a t=0 snapshot, if requested
-        _, report = run(state, params, cfg, observers=(capture,))
-        return snaps, report
+        return run(state, params, cfg, observers=(capture,))[1]
 
     return go

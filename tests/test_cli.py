@@ -304,36 +304,55 @@ _HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_HOSTILE))
-@given(data=st.data())
-def test_hostile_numbers_never_crash_or_leave_output(command, data):
-    argv = [command] if command in ("simulate", "presets") \
-        else ["mms", command]
-    for flag, values in _HOSTILE[command].items():
-        value = data.draw(values, label=flag)
-        if value is not None:
-            argv.append(f"{flag}={value}")  # "-inf" is not read as a flag
+def _run_hostile(argv, command, config=None):
+    """Run argv (plus a --config file holding config, when given) in a
+    fresh directory; check that it ends cleanly and return its exit code
+    and what it printed."""
     printed, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
+        argv = list(argv)
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            argv += ["--config", path]
         if command not in ("residual", "presets"):
             argv += ["--out", out]
         with contextlib.redirect_stdout(printed), \
                 contextlib.redirect_stderr(err):
             rc = main(argv)
-        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert rc in (0, 1, 2, 3), (argv, config, rc)
         assert "Traceback" not in err.getvalue()
-        assert not (rc == 1 and os.path.exists(out)), (argv, err.getvalue())
+        assert not (rc == 1 and os.path.exists(out)), (argv, config,
+                                                       err.getvalue())
         if rc == 0 and command not in ("simulate", "residual", "presets"):
             # a study that succeeds has a table row besides header and order
             (table,) = [f for f in os.listdir(out) if f.endswith(".csv")]
             with open(os.path.join(out, table), encoding="ascii") as fh:
-                assert len(fh.readlines()) >= 3, argv
+                assert len(fh.readlines()) >= 3, (argv, config)
+        return rc, printed.getvalue().replace(tmp, "<tmp>")
+
+
+@pytest.mark.parametrize("command", sorted(_HOSTILE))
+@given(data=st.data())
+def test_hostile_numbers_never_crash_or_leave_output(command, data):
+    argv = [command] if command in ("simulate", "presets") \
+        else ["mms", command]
+    options, config = [], {}
+    for flag, values in _HOSTILE[command].items():
+        value = data.draw(values, label=flag)
+        if value is not None:
+            options.append(f"{flag}={value}")  # "-inf" is not read as a flag
+            config[flag[2:].replace("-", "_")] = value
+    rc, printed = _run_hostile(argv + options, command)
     if command == "residual" and rc == 0:
         # a successful defect check prints at least one defect, all finite
-        assert "defect_u=" in printed.getvalue()
-        assert not {"nan", "inf"} & set(re.findall(r"[a-z]+",
-                                                    printed.getvalue()))
+        assert "defect_u=" in printed
+        assert not {"nan", "inf"} & set(re.findall(r"[a-z]+", printed))
+    if command != "presets":
+        # the same options from a --config file end the same way
+        assert _run_hostile(argv, command, config) == (rc, printed), config
 
 
 def test_convergence_too_small_size_leaves_no_output(tmp_path, capsys):
@@ -453,6 +472,127 @@ def test_config_file_precedence(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["nx"] == 32
     assert manifest["config"]["t_end"] == 4.0  # config beats default
+
+
+def _simulate_with_config(tmp_path, config, *flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    rc = main(["simulate", "--preset", "labyrinthine", "--nx", "8",
+               "--t-end", "2", *flags, "--config", str(cfg),
+               "--out", str(out)])
+    return rc, out
+
+
+@pytest.mark.parametrize("config", [
+    {"nx": 8.0}, {"nx": [1, 2]}, {"nx": True}, {"nx": {"a": 1}},
+    {"dt": "fast"}, {"snapshots": "1,x"}, {"preset": "stripes"},
+    {"with_v": "false"}, {"with_v": 1}, {"tend": 3}, {"eps": 0.1}],
+    ids=json.dumps)
+def test_config_rejects_what_its_flag_would(tmp_path, capsys, config):
+    # a wrong-typed value or a key that names no option of the command
+    rc, out = _simulate_with_config(tmp_path, config)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    (key,) = config
+    assert "--" + key.replace("_", "-") in err.splitlines()[-1]  # named
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_v, written", [(True, True), (False, False)])
+def test_config_with_v(tmp_path, with_v, written):
+    rc, out = _simulate_with_config(tmp_path, {"with_v": with_v})
+    assert rc == 0
+    assert (out / "v_t2.csv").exists() == written
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["with_v"] is written
+
+
+def test_config_null_keeps_the_default(tmp_path):
+    rc, out = _simulate_with_config(tmp_path, {"dt": None, "d_v": None,
+                                               "snapshots": None})
+    assert rc == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["dt"] == 1.0
+    assert config["d_v"] == config["d_u"] / 2
+    assert config["snapshot_times"] == [2.0]
+
+
+def test_config_key_reads_as_its_long_option(tmp_path):
+    # "eps" abbreviates --eps-list on mms interface, as the flag does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": [0.4, 0.3], "nx": 16,
+                               "dt": 0.0625, "t_end": 0.25}))
+    out = tmp_path / "iface"
+    assert main(["mms", "interface", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["eps_list"] == [0.4, 0.3]
+
+
+def test_config_list_matches_comma_string(tmp_path):
+    tables = []
+    for multipliers in ([1, 2], "1,2"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nx": 16, "multipliers": multipliers,
+                                   "t_end": 0.5}))
+        out = tmp_path / str(len(tables))
+        assert main(["mms", "stability", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        lines = (out / "stability_trig.csv").read_text().splitlines()
+        # drop the wall-clock column
+        tables.append([line.rsplit(",", 1)[0] for line in lines[:-1]]
+                      + lines[-1:])
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 4
+
+
+@pytest.mark.parametrize("text, code", [
+    (None, 3), ("{bad", 1), ("[1, 2]", 1)])
+def test_config_file_errors(tmp_path, capsys, text, code):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "run"
+    rc = main(["simulate", "--preset", "labyrinthine", "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_repeated_snapshot_time_written_once(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--preset", "labyrinthine", "--nx", "8",
+                 "--t-end", "4", "--snapshots", "2,2,4",
+                 "--out", str(out)]) == 0
+    assert "wrote 4 snapshot files" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["snapshot_times"] == [2.0, 4.0]
+    assert manifest["outputs"] == ["u_t2.pgm", "u_t2.csv",
+                                   "u_t4.pgm", "u_t4.csv"]
+    assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                             + ["manifest.json"])
+
+
+def test_simulate_writes_each_snapshot_as_it_is_reached(tmp_path, capsys):
+    # holding 40 snapshots of u and v at 64^2 would take 2.6 MB
+    def simulate(out, times):
+        return main(["simulate", "--preset", "labyrinthine", "--nx", "64",
+                     "--t-end", str(times),
+                     "--snapshots", ",".join(map(str, range(1, times + 1))),
+                     "--out", str(tmp_path / out)])
+
+    assert simulate("warm", 2) == 0  # fills the solver's caches
+    tracemalloc.start()
+    try:
+        assert simulate("run", 40) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 40 * 2 * build_mesh(64, 64).n_cells * 8
+    assert peak < 0.5 * held
 
 
 def _subparsers(parser):
