@@ -13,8 +13,8 @@ from .mms import (DomainError, ErrorRow, ErrorTable, ManufacturedCase,
                   convergence_study, default_sample_times, error_norms,
                   interface_study, observed_orders, residual_check,
                   stability_study, tanh_case, trig_case)
-from .patterns import (PatternPreset, Snapshot, UnknownPreset, preset,
-                       preset_names, pattern_initial_condition, run_pattern)
+from .patterns import (PatternPreset, UnknownPreset, preset, preset_names,
+                       pattern_initial_condition, run_pattern)
 from .cli import (IoFailure, read_field_csv, write_error_table,
                   write_field_snapshot)
 
@@ -30,7 +30,7 @@ __all__ = [
     "convergence_study", "default_sample_times", "error_norms",
     "interface_study", "observed_orders", "residual_check",
     "stability_study", "tanh_case", "trig_case",
-    "PatternPreset", "Snapshot", "UnknownPreset", "preset", "preset_names",
+    "PatternPreset", "UnknownPreset", "preset", "preset_names",
     "pattern_initial_condition", "run_pattern",
     "IoFailure", "read_field_csv", "write_error_table", "write_field_snapshot",
 ]

@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .diffusion import ImplicitDiffusionOperator, NoConvergence, solve_path
 from .field import CellField
-from .imex import BOUND_TOLERANCE, GrayScottParams, MonitorReport
+from .imex import (BOUND_TOLERANCE, GrayScottParams, MonitorReport,
+                   NonFiniteState)
 from .mesh import build_mesh
 from .mms import (ErrorTable, _check_convergence, _check_interface,
                   _check_stability, residual_check, tanh_case, trig_case,
@@ -128,14 +129,15 @@ def _monitor_summary(report: MonitorReport) -> dict:
 
 
 def _write_manifest(out: str, command: str, config: dict,
-                    monitors: dict | None, outputs: list) -> None:
+                    monitors: dict | None, outputs: list, **status) -> None:
     """Write out/manifest.json: configuration echo, timestamp, monitor
-    summary and output list."""
+    summary, output list and the status entries given."""
     path = os.path.join(out, MANIFEST_NAME)
     manifest = {"command": command, "version": __version__,
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                              time.gmtime()),
-                "config": config, "monitors": monitors, "outputs": outputs}
+                "config": config, "monitors": monitors, "outputs": outputs,
+                **status}
     try:
         with open(path, "w", encoding="ascii") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -151,10 +153,12 @@ def _ensure_out_dir(path: str) -> None:
         raise IoFailure(f"cannot create {path}: {e}") from e
 
 
-def _config_options(path: str) -> list:
-    """A --config file's JSON object as command-line options.
+def _config_options(path: str, parser: argparse.ArgumentParser) -> list:
+    """A --config file's JSON object as options of the (sub)command parser.
 
-    A key becomes its long option ("t_end" -> --t-end); true is the bare
+    A key becomes its long option ("t_end" -> --t-end), read as argparse
+    reads it, abbreviations included; a key that names no option of parser,
+    or is read as --help, is a ValueError naming the file. true is the bare
     flag, false and null leave the option at its default, a list is joined
     with commas and any other value is given as --key=value.
     """
@@ -165,9 +169,18 @@ def _config_options(path: str) -> list:
         raise IoFailure(f"cannot read config {path}: {e}") from e
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
+    known = parser._option_string_actions
     options = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")
+        read_as = [o for o in known if o == flag] \
+            or [o for o in known if o.startswith(flag)]
+        if not read_as:
+            raise ValueError(f"config {path}: key {key!r} names no option "
+                             f"of {parser.prog} ({flag})")
+        if any(known[o].dest == "help" for o in read_as):
+            raise ValueError(f"config {path}: key {key!r} is read as --help, "
+                             f"which runs nothing")
         if value is True:
             options.append(flag)
         elif value is not False and value is not None:
@@ -185,7 +198,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list):
     if not getattr(args, "config", None):
         return args
     depth = 2 if args.command == "mms" else 1
-    return parser.parse_args(argv[:depth] + _config_options(args.config)
+    return parser.parse_args(argv[:depth]
+                             + _config_options(args.config, args.parser)
                              + argv[depth:])
 
 
@@ -248,27 +262,33 @@ def _cmd_simulate(args) -> int:
     run = _check_pattern(pat, mesh, args.dt, d_u, d_v, t_end, args.snapshots)
     _ensure_out_dir(out)
     outputs, times, finite = [], [], []
-
-    def take(snap) -> None:
-        """Write one snapshot as the run reaches it; none is held."""
-        times.append(snap.t)
-        finite.append(snap.u.is_finite() and snap.v.is_finite())
-        fields = [("u", snap.u)] + ([("v", snap.v)] if args.with_v else [])
-        for label, fld in fields:
-            for fmt in ("pgm", "csv"):
-                name = f"{label}_t{_fmt_t(snap.t)}.{fmt}"
-                write_field_snapshot(fld, os.path.join(out, name), fmt)
-                outputs.append(name)
-
-    report = run(take)
     config_echo = {"preset": pat.name, "F": pat.F, "k": pat.k,
                    "nx": args.nx, "h": mesh.h, "dt": args.dt,
                    "t_end": t_end, "d_u": d_u, "d_v": d_v,
                    "with_v": args.with_v, "snapshot_times": times,
                    "solver": _solver_paths(mesh, args.dt, d_u, d_v),
                    "bound_tolerance": BOUND_TOLERANCE}
+
+    def take(state) -> None:
+        """Write one snapshot as the run reaches it; none is held."""
+        times.append(state.t)
+        finite.append(state.u.is_finite() and state.v.is_finite())
+        fields = [("u", state.u)] + ([("v", state.v)] if args.with_v else [])
+        for label, fld in fields:
+            for fmt in ("pgm", "csv"):
+                name = f"{label}_t{_fmt_t(state.t)}.{fmt}"
+                write_field_snapshot(fld, os.path.join(out, name), fmt)
+                outputs.append(name)
+
+    try:
+        report = run(take)
+    except NonFiniteState as e:  # the manifest lists what was written
+        _write_manifest(out, "simulate", config_echo, None, outputs,
+                        status="non-finite", failure={
+                            "step": e.step, "t": e.t, "species": e.species})
+        raise
     _write_manifest(out, "simulate", config_echo, _monitor_summary(report),
-                    outputs)
+                    outputs, status="ok" if all(finite) else "non-finite")
     if report.bound_violations:
         print(f"warning: {report.bound_violations} monitored states "
               f"outside bounds (see {MANIFEST_NAME})", file=sys.stderr)
@@ -420,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also write v snapshots")
     sim.add_argument("--out")
     sim.add_argument("--config", help=config_help)
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(func=_cmd_simulate, parser=sim)
 
     mms = sub.add_parser("mms", help="manufactured-solution studies")
     msub = mms.add_subparsers(dest="mms_command")
@@ -450,14 +470,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        type=_list_of(float),
                        help="comma-separated error sample times")
         p.add_argument("--out")
-        p.set_defaults(func=_cmd_mms_study)
+        p.set_defaults(func=_cmd_mms_study, parser=p)
 
     resid = msub.add_parser("residual", help="source-term defect oracle")
     common(resid)
     resid.add_argument("--t", type=float, default=0.3)
     resid.add_argument("--sizes", type=_list_of(int), default="32,64",
                        help="comma-separated mesh sizes")
-    resid.set_defaults(func=_cmd_mms_residual)
+    resid.set_defaults(func=_cmd_mms_residual, parser=resid)
 
     pre = sub.add_parser("presets", help="list pattern presets")
     pre.set_defaults(func=_cmd_presets)

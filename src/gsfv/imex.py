@@ -78,9 +78,9 @@ BOUND_TOLERANCE = 1e-12  # RunConfig's default slack on the [0, 1] bounds
 class RunConfig:
     """Time-stepping and monitoring knobs for run().
 
-    T is the absolute terminal time and must be finite. monitors switches
-    the bound and energy monitors together. Bounds are reported against
-    [0, 1] for both species with the given slack.
+    T is the absolute terminal time; dt, T and T / dt must be finite.
+    monitors switches the bound and energy monitors together. Bounds are
+    reported against [0, 1] for both species with the given slack.
     """
 
     dt: float
@@ -89,10 +89,12 @@ class RunConfig:
     bound_tolerance: float = BOUND_TOLERANCE
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"need dt > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:  # t / inf would make every t step 0
+            raise ValueError(f"need dt > 0 and finite, got {self.dt}")
         if not math.isfinite(self.T):
             raise ValueError(f"need a finite terminal time, got {self.T}")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"T/dt overflows: dt={self.dt}, T={self.T}")
         if not self.bound_tolerance >= 0.0:
             raise ValueError("bound_tolerance must be non-negative")
 
@@ -195,43 +197,44 @@ def step(state: SimState, params: GrayScottParams, dt: float,
     return SimState(state.n + 1, state.t + dt, u_new, v_new)
 
 
+def whole_steps(t: float, dt: float) -> int | None:
+    """The step index n with t = n dt, or None when t is no whole number
+    of steps. A time within 1e-9 (relative) of a step is that step; a
+    t / dt that is not finite is no step."""
+    ratio = t / dt
+    if not math.isfinite(ratio):
+        return None
+    n = round(ratio)
+    return n if abs(ratio - n) <= 1e-9 * max(ratio, 1.0) else None
+
+
 def run(initial: SimState, params: GrayScottParams, config: RunConfig,
         sources=None, observers=()) -> tuple[SimState, MonitorReport]:
     """Advance from initial to t = config.T with uniform steps config.dt.
 
-    When T - initial.t is not an integer multiple of dt, the last step is
-    shortened to land on T exactly (flagged in the report). Step times are
-    assigned as initial.t + n*dt rather than accumulated. Observers are
-    called after every step and must not mutate the state.
+    When T - initial.t is not whole_steps of dt, the last step is shortened
+    to land on T exactly (flagged in the report). Step times are initial.t
+    + n*dt, not accumulated, and T on the last step. Observers are called
+    after every step and must not mutate the state.
     """
     span = config.T - initial.t
     if not span > 0.0:
         raise ValueError(f"terminal time {config.T} not ahead of "
                          f"state time {initial.t}")
-    ratio = span / config.dt
-    n_round = round(ratio)
-    if n_round >= 1 and abs(ratio - n_round) <= 1e-9 * max(ratio, 1.0):
-        n_full, shortened = n_round, False
-    else:
-        n_full, shortened = int(math.floor(ratio)), True
+    n = whole_steps(span, config.dt)
+    shortened = not n
+    n_steps = n if n else math.floor(span / config.dt) + 1
 
-    report = MonitorReport()
+    report = MonitorReport(shortened_final_step=shortened)
     report.record(initial, params, config, step_dt=None)
     state = initial
     t0 = initial.t
-    for i in range(n_full):
-        state = step(state, params, config.dt, sources)
-        state.t = config.T if (not shortened and i == n_full - 1) \
-            else t0 + (i + 1) * config.dt
-        report.record(state, params, config, step_dt=config.dt)
-        for obs in observers:
-            obs(state)
-    if shortened:
-        dt_last = config.T - state.t
-        state = step(state, params, dt_last, sources)
-        state.t = config.T
-        report.shortened_final_step = True
-        report.record(state, params, config, step_dt=dt_last)
+    for i in range(n_steps):
+        last = i == n_steps - 1
+        dt = config.T - state.t if last and shortened else config.dt
+        state = step(state, params, dt, sources)
+        state.t = config.T if last else t0 + (i + 1) * config.dt
+        report.record(state, params, config, step_dt=dt)
         for obs in observers:
             obs(state)
     return state, report

@@ -25,7 +25,8 @@ import numpy as np
 
 from .diffusion import NoConvergence
 from .field import CellField, norm_l2_h, norm_linf, project
-from .imex import GrayScottParams, RunConfig, SimState, reaction_f, reaction_g, run
+from .imex import (GrayScottParams, RunConfig, SimState, reaction_f,
+                   reaction_g, run, whole_steps)
 from .mesh import UniformMesh, build_mesh
 
 TWO_PI = 2.0 * math.pi
@@ -290,9 +291,10 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
     Initial data is the exact solution projected with the 3x3 Gauss rule;
     the same projection at each sample time is the comparison target, so the
     reported error is the scheme's and not the quadrature's. Sample times
-    need not be multiples of dt: the run advances segment-wise with one
-    shortened step per segment when needed. Returns the max over samples of
-    the discrete L2 and max-norm errors per species, plus wall time.
+    need not be multiples of dt: each segment of the run lands on its
+    sample time, with one shortened step when needed. Returns the max over
+    samples of the discrete L2 and max-norm errors per species, plus wall
+    time.
     """
     times = _validate_samples(sample_times, T)
     t_start = time.perf_counter()
@@ -302,7 +304,7 @@ def error_norms(case: ManufacturedCase, params: GrayScottParams,
     sources = (case.S_u, case.S_v)
     e_l2_u = e_l2_v = e_li_u = e_li_v = 0.0
     for ts in times:
-        if ts > state.t + 1e-14:
+        if ts > state.t:
             cfg = RunConfig(dt=dt, T=ts, monitors=False)
             state, _ = run(state, params, cfg, sources=sources)
         ex_u = project(mesh, lambda x, y: case.u_star(ts, x, y))
@@ -384,9 +386,9 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
                     sample_times=None) -> ErrorTable:
     """Fixed mesh, dt = k*h for each multiplier k.
 
-    Sample times must be integer multiples of every dt so no step is
-    shortened (which would silently change the dt under test); defaults to
-    {T/2, T}. Orders are slopes vs dt.
+    Sample times must be whole_steps of every dt so no step is shortened
+    (which would silently change the dt under test); defaults to {T/2, T}.
+    Orders are slopes vs dt.
     """
     return _check_stability(case, params, multipliers, mesh, T,
                             sample_times)()
@@ -402,8 +404,7 @@ def _check_stability(case, params, multipliers, mesh, T, sample_times):
     samples = _validate_samples(sample_times, T, [T / 2.0, T])
     for k in ks:
         for s in samples:
-            ratio = s / (k * h)
-            if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+            if whole_steps(s, k * h) is None:
                 raise SampleTimeUnreachable(
                     f"sample {s} is not a multiple of dt={k * h} (k={k})")
     meta = {"study": "stability", "T": T, "h": h, "multipliers": ks,
@@ -440,8 +441,7 @@ def _check_interface(params, eps_list, mesh, dt, T, sample_times, variant):
         if e <= 2.0 * mesh.h:
             raise UnresolvableInterface(
                 f"eps={e} at or below 2h={2.0 * mesh.h:g}; front not resolved")
-    if not dt > 0.0:
-        raise ValueError(f"need dt > 0, got {dt}")
+    RunConfig(dt=dt, T=T)  # validates dt and T/dt
     samples = _validate_samples(sample_times, T, default_sample_times(T))
     rows = [(tanh_case(e, params, variant=variant), mesh, dt, e)
             for e in epss]

@@ -7,13 +7,14 @@ cell center. Default diffusivities d_u = 1.6e-5, d_v = d_u / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .field import CellField
-from .imex import GrayScottParams, MonitorReport, RunConfig, SimState, run
+from .imex import (GrayScottParams, MonitorReport, RunConfig, SimState, run,
+                   whole_steps)
 from .mesh import UniformMesh
 
 
@@ -71,23 +72,17 @@ def pattern_initial_condition(mesh: UniformMesh) -> tuple[CellField, CellField]:
     return CellField(mesh, u), CellField(mesh, v)
 
 
-class Snapshot(NamedTuple):
-    t: float
-    u: CellField
-    v: CellField
-
-
 def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
                 d_u: float = DEFAULT_D_U, d_v: float | None = None,
                 t_end: float | None = None,
                 snapshot_times=None) -> tuple[list, MonitorReport]:
     """Run a preset from the seeded state, capturing snapshots.
 
-    Snapshot times default to the preset's times clipped to t_end, with
-    t_end always included; each must be an integer multiple of dt, and a
-    repeated time is taken once. Returns the snapshots (the run's own
-    fields, which no later step writes to) and the monitor report of the
-    whole run.
+    Snapshot times default to the preset's times before t_end, plus t_end.
+    A snapshot is the state at step whole_steps(t, dt): each time must be
+    a whole number of steps, and times on one step give one snapshot.
+    Returns the snapshots (the run's own SimStates, which no later step
+    writes to) and the monitor report of the whole run.
     """
     snaps: list = []
     report = _check_pattern(pat, mesh, dt, d_u, d_v, t_end,
@@ -97,38 +92,37 @@ def run_pattern(pat: PatternPreset, mesh: UniformMesh, dt: float = 1.0,
 
 def _check_pattern(pat, mesh, dt, d_u, d_v, t_end, snapshot_times):
     """run_pattern's argument checks; returns the run itself, which hands
-    each Snapshot to take(snapshot) as it is reached and returns the
-    MonitorReport."""
+    the SimState of each snapshot step to take(state) as it is reached and
+    returns the MonitorReport."""
     if d_v is None:
         d_v = d_u / 2.0
     params = GrayScottParams(d_u, d_v, pat.F, pat.k)
     if snapshot_times is None:
         t_end = max(pat.snapshot_times) if t_end is None else float(t_end)
-        times = sorted({t for t in pat.snapshot_times if t <= t_end + 1e-9}
-                       | {t_end})
+        times = [t for t in pat.snapshot_times if t < t_end] + [t_end]
     else:
-        times = sorted({float(t) for t in snapshot_times})
-        if not (times and np.isfinite(times).all() and times[0] >= 0.0):
+        times = [float(t) for t in snapshot_times]
+        if not (times and np.isfinite(times).all() and min(times) >= 0.0):
             raise ValueError(f"need finite --snapshots >= 0, got {times}")
-        t_end = times[-1] if t_end is None else float(t_end)
-        if times[-1] > t_end + 1e-9:
-            raise ValueError("snapshot time beyond t_end")
-    cfg = RunConfig(dt=dt, T=t_end)  # validates dt before the checks below
+        t_end = max(times) if t_end is None else float(t_end)
+    cfg = RunConfig(dt=dt, T=t_end)  # validates dt and T/dt before the rest
     if not t_end > 0.0:
         raise ValueError(f"need t_end > 0, got {t_end}")
+    steps = set()
     for ts in times:
-        ratio = ts / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
+        n = whole_steps(ts, dt)
+        if n is None:
             raise ValueError(f"snapshot time {ts} not a multiple of dt={dt}")
+        steps.add(n)
+    # the last step a snapshot can take is t_end's, or before a shortened one
+    if max(steps) > (whole_steps(t_end, dt) or math.floor(t_end / dt)):
+        raise ValueError("snapshot time beyond t_end")
     u0, v0 = pattern_initial_condition(mesh)  # rejects a non-square mesh
 
     def go(take) -> MonitorReport:
-        pending = list(times)
-
-        def capture(s: SimState) -> None:
-            while pending and s.t >= pending[0] - 1e-9 * max(pending[0], 1.0):
-                pending.pop(0)
-                take(Snapshot(s.t, s.u, s.v))
+        def capture(state: SimState) -> None:
+            if state.n in steps:
+                take(state)
 
         state = SimState(0, 0.0, u0, v0)
         capture(state)  # a t=0 snapshot, if requested

@@ -188,6 +188,7 @@ def test_simulate_smoke(tmp_path):
     csvs = [n for n in names if n.endswith(".csv")]
     assert len(pgms) == 1 and len(csvs) == 1  # one snapshot set at t_end
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and "failure" not in manifest
     assert manifest["config"]["preset"] == "labyrinthine"
     assert manifest["monitors"]["bound_violations"] == 0
     assert (manifest["config"]["bound_tolerance"]
@@ -272,17 +273,20 @@ def test_stability_rejects_infinite_multiplier(tmp_path, capsys):
 
 
 def _numbers(*fine):
-    return st.sampled_from(("0", "-1", "nan", "inf", "-inf") + fine)
+    return st.sampled_from(("0", "-1", "nan", "inf", "-inf", "1e-320")
+                           + fine)
 
 
 def _lists(*fine):
     # any order, so descending and repeated entries come up too, and empty
-    items = st.sampled_from(("0", "-1", "nan", "inf") + fine)
+    items = st.sampled_from(("0", "-1", "nan", "inf", "1e-320") + fine)
     return st.lists(items, max_size=3).map(",".join)
 
 
 # every subcommand with hostile numbers among a few small valid ones: sizes
-# stay <= 8, --t-end <= 0.5 and steps >= 1/64, so a valid run is cheap
+# stay <= 8 and --t-end <= 0.5, and every positive value but the subnormal
+# 1e-320 is at least 1/16, so a valid run takes few steps: a time over a
+# subnormal step overflows (a usage error), a subnormal time is < 1 step
 _SIZES = st.sampled_from(("0", "-1", "1", "2", "8"))
 _T_END = _numbers("0.25", "0.5")
 _SAMPLES = st.none() | _lists("0.125", "0.25", "0.5")
@@ -487,16 +491,21 @@ def _simulate_with_config(tmp_path, config, *flags):
 @pytest.mark.parametrize("config", [
     {"nx": 8.0}, {"nx": [1, 2]}, {"nx": True}, {"nx": {"a": 1}},
     {"dt": "fast"}, {"snapshots": "1,x"}, {"preset": "stripes"},
-    {"with_v": "false"}, {"with_v": 1}, {"tend": 3}, {"eps": 0.1}],
+    {"with_v": "false"}, {"with_v": 1}, {"tend": 3}, {"eps": 0.1},
+    {"help": True}, {"he": True}],
     ids=json.dumps)
 def test_config_rejects_what_its_flag_would(tmp_path, capsys, config):
-    # a wrong-typed value or a key that names no option of the command
+    # a wrong-typed value, a key that names no option of the command, or a
+    # key read as --help (which would print help and run nothing)
     rc, out = _simulate_with_config(tmp_path, config)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     (key,) = config
     assert "--" + key.replace("_", "-") in err.splitlines()[-1]  # named
+    if key in ("tend", "eps", "help", "he"):  # so is the file it came from
+        assert err.startswith(
+            f"error: config {tmp_path / 'cfg.json'}: key {key!r} ")
     assert not out.exists()
 
 
@@ -576,6 +585,59 @@ def test_simulate_repeated_snapshot_time_written_once(tmp_path, capsys):
                                              + ["manifest.json"])
 
 
+@pytest.mark.parametrize("t_end", ["99.9999999995", "100.0000000001"])
+def test_simulate_times_on_one_step_give_one_snapshot(tmp_path, capsys,
+                                                      t_end):
+    # the preset's t=100 and t_end are both step 100 of dt=1
+    out = tmp_path / "sim"
+    assert main(["simulate", "--preset", "labyrinthine", "--nx", "8",
+                 "--dt", "1", "--t-end", t_end, "--out", str(out)]) == 0
+    assert "wrote 2 snapshot files" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["snapshot_times"] == [float(t_end)]
+    assert manifest["outputs"] == [f"u_t{t_end}.pgm", f"u_t{t_end}.csv"]
+    assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                             + ["manifest.json"])
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--preset", "labyrinthine", "--nx", "8", "--dt", "1e-320",
+     "--t-end", "1"],
+    ["mms", "stability", "--nx", "8", "--multipliers", "1e-318",
+     "--t-end", "1"],
+    ["mms", "interface", "--nx", "8", "--eps-list", "0.5", "--dt", "1e-320",
+     "--t-end", "0.5"],
+    ["simulate", "--preset", "labyrinthine", "--nx", "8", "--dt", "inf",
+     "--t-end", "1"],
+    ["mms", "interface", "--nx", "8", "--eps-list", "0.5", "--dt", "inf",
+     "--t-end", "0.5"]])
+def test_step_off_the_grid_is_a_usage_error(tmp_path, capsys, command):
+    # t / dt overflows, or is 0 for every t: no traceback, no output
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_failed_simulate_manifest_lists_what_it_wrote(tmp_path, capsys):
+    # step 2 from t=1e150 overflows the kinetics of u
+    out = tmp_path / "fail"
+    assert main(["simulate", "--preset", "labyrinthine", "--nx", "8",
+                 "--dt", "1e150", "--t-end", "4e150",
+                 "--snapshots", "1e150,4e150", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: non-finite u at step 2, t=1e+150\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-finite"
+    assert manifest["failure"] == {"step": 2, "t": 1e150, "species": "u"}
+    assert manifest["monitors"] is None
+    assert manifest["config"]["snapshot_times"] == [1e150]
+    assert manifest["outputs"] == ["u_t1e+150.pgm", "u_t1e+150.csv"]
+    assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                             + ["manifest.json"])
+
+
 def test_simulate_writes_each_snapshot_as_it_is_reached(tmp_path, capsys):
     # holding 40 snapshots of u and v at 64^2 would take 2.6 MB
     def simulate(out, times):
@@ -650,7 +712,7 @@ def test_library_option_surface():
     assert params(stability_study) == [
         "case", "params", "multipliers", "mesh", "T", "sample_times"]
     for gone in ("cell_center", "NonSquareCells", "IndexOutOfRange",
-                 "solve_cg"):
+                 "solve_cg", "Snapshot"):
         assert not hasattr(gsfv, gone) and gone not in gsfv.__all__
     # the CG reference and the face list live in tests/oracles.py
     for owner, gone in ((diffusion, "solve_cg"), (UniformMesh, "n_faces"),

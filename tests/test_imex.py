@@ -10,7 +10,8 @@ from gsfv.diffusion import (SERIES_MAX_PASSES, ImplicitDiffusionOperator,
                             NoConvergence, series_passes, solve)
 from gsfv.field import CellField, full, inner_h, project
 from gsfv.imex import (GrayScottParams, MonitorReport, NonFiniteState,
-                       RunConfig, SimState, reaction_f, reaction_g, run, step)
+                       RunConfig, SimState, reaction_f, reaction_g, run, step,
+                       whole_steps)
 from gsfv.mesh import build_mesh
 from gsfv.mms import tanh_case
 from gsfv.patterns import pattern_initial_condition
@@ -75,7 +76,9 @@ def test_step_rejects_bad_dt():
 @pytest.mark.parametrize("kwargs", [
     {"dt": 0.0}, {"dt": -1.0}, {"dt": math.nan},
     {"dt": 1.0, "bound_tolerance": -1e-12},
-    {"dt": 1.0, "bound_tolerance": math.nan}])
+    {"dt": 1.0, "bound_tolerance": math.nan},
+    {"dt": 1e-320},  # 1 / 1e-320 overflows: no whole number of steps
+    {"dt": math.inf}])
 def test_run_config_validation(kwargs):
     with pytest.raises(ValueError):
         RunConfig(T=1.0, **kwargs)
@@ -85,6 +88,15 @@ def test_run_config_validation(kwargs):
 def test_run_config_rejects_non_finite_terminal_time(T):
     with pytest.raises(ValueError, match="need a finite terminal time"):
         RunConfig(dt=1.0, T=T)
+
+
+@pytest.mark.parametrize("t, dt, n", [
+    (3.0, 1.0, 3), (0.3, 0.1, 3), (100.0000000001, 1.0, 100),
+    (99.9999999995, 1.0, 100), (1e-10, 1.0, 0), (0.0, 1.0, 0),
+    (2.5, 1.0, None), (1.0, 1e-320, None), (1.0, math.inf, 0),
+    (math.nan, 1.0, None)])
+def test_whole_steps(t, dt, n):
+    assert whole_steps(t, dt) == n
 
 
 def test_pure_diffusion_conserves_mass():
@@ -171,10 +183,13 @@ def test_run_steady_three_steps():
 def test_run_shortened_final_step():
     m = build_mesh(8, 8)
     cfg = RunConfig(dt=1.0, T=2.5)
-    final, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg)
+    seen = []
+    final, rep = run(uniform_state(m, 1.0, 0.0), LAB, cfg,
+                     observers=[lambda s: seen.append((s.n, s.t))])
     assert rep.steps == 3
     assert rep.shortened_final_step
     assert final.t == 2.5
+    assert seen == [(1, 1.0), (2, 2.0), (3, 2.5)]
 
 
 def test_run_rejects_non_advancing():

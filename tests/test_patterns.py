@@ -72,6 +72,14 @@ def test_explicit_snapshot_times_and_t0():
     assert np.array_equal(snaps[0].u.values, u0.values)
 
 
+def test_times_on_one_step_give_one_snapshot():
+    # 2.0000000000001 is within 1e-9 of step 2, so both times are step 2
+    m = build_mesh(8, 8)
+    snaps, _ = run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=4.0,
+                           snapshot_times=[2.0, 2.0000000000001])
+    assert [(s.n, s.t) for s in snaps] == [(2, 2.0)]
+
+
 def test_snapshot_times_must_be_step_aligned():
     m = build_mesh(32, 32)
     with pytest.raises(ValueError):
@@ -80,6 +88,10 @@ def test_snapshot_times_must_be_step_aligned():
     with pytest.raises(ValueError):
         run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=4.0,
                     snapshot_times=[-1.0])
+    # beyond the last whole step before t_end
+    with pytest.raises(ValueError, match="beyond t_end"):
+        run_pattern(preset("labyrinthine"), m, dt=1.0, t_end=3.5,
+                    snapshot_times=[4.0])
 
 
 def test_runs_reproducible_bit_for_bit():
