@@ -5,7 +5,7 @@ h,dt,err_Linf_L2_u,err_Linf_L2_v,err_Linf_Linf_u,err_Linf_Linf_v,runtime_s
 (interface tables prepend an eps column) and a final
 ``order,<slope per error column>`` row. Field snapshots are written both as
 16-bit binary PGM images and as raw CSV value grids. Every run writes a
-manifest.json echoing the configuration and monitor summary.
+manifest.json echoing the configuration, monitor summary and status.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (non-finite
 values), 3 I/O failure.
@@ -178,7 +178,10 @@ def _config_options(path: str, parser: argparse.ArgumentParser) -> list:
         if not read_as:
             raise ValueError(f"config {path}: key {key!r} names no option "
                              f"of {parser.prog} ({flag})")
-        if any(known[o].dest == "help" for o in read_as):
+        if len(read_as) > 1:
+            raise ValueError(f"config {path}: key {key!r} abbreviates "
+                             f"several options: {', '.join(read_as)}")
+        if known[read_as[0]].dest == "help":
             raise ValueError(f"config {path}: key {key!r} is read as --help, "
                              f"which runs nothing")
         if value is True:
@@ -299,17 +302,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _table_exit(table: ErrorTable, path: str) -> int:
-    bad = not all(r.finite() for r in table.rows)
-    for c in ERROR_COLUMNS:
-        print(f"{c}: order {table.orders[c]:.4f}")
-    print(f"wrote {path}")
-    if bad:
-        print("error: non-finite errors in table", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _read_convergence(args, params: GrayScottParams, T: float):
     case = _case_from(args, params)
     run = _check_convergence(case, params, args.sizes, T, args.sample_times)
@@ -377,7 +369,8 @@ _STUDIES = {
 
 def _cmd_mms_study(args) -> int:
     """Shared scaffold: options, checks, out dir, run, CSV, manifest, exit
-    code. Every usage error is raised before the out dir is made."""
+    code. Every usage error is raised before the out dir is made; a table
+    with a non-finite row is written too, then exits 2."""
     name = args.mms_command
     params = _params_from(args)
     T = _t_end(args)
@@ -388,10 +381,21 @@ def _cmd_mms_study(args) -> int:
     table = run()
     path = os.path.join(args.out, fname)
     write_error_table(table, path)
+    ok = all(r.finite() for r in table.rows)
+    failures = [{"h": r.h, "dt": r.dt, "eps": r.eps, "step": e.step,
+                 "t": e.t, "species": e.species} for r, e in table.failures]
     _write_manifest(args.out, f"mms {name}",
                     {**echo, "T": T, "params": asdict(params), **table.meta},
-                    None, [fname])
-    return _table_exit(table, path)
+                    None, [fname], status="ok" if ok else "non-finite",
+                    **({} if ok else {"failures": failures}))
+    for c in ERROR_COLUMNS:
+        print(f"{c}: order {table.orders[c]:.4f}")
+    print(f"wrote {path}")
+    if ok:
+        return 0
+    stop = table.failures[0][1] if failures else "non-finite errors in table"
+    print(f"error: {stop}", file=sys.stderr)
+    return 2
 
 
 def _cmd_mms_residual(args) -> int:
@@ -491,7 +495,9 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_help()
             return 1
-        return args.func(args)
+        # a run's overflow is reported on its one error: line, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except SystemExit as e:  # from argparse: 0 after --help, else misuse
         return 0 if e.code == 0 else 1
     except NoConvergence as e:

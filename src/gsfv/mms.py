@@ -23,10 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .diffusion import NoConvergence
 from .field import CellField, norm_l2_h, norm_linf, project
-from .imex import (GrayScottParams, RunConfig, SimState, reaction_f,
-                   reaction_g, run, whole_steps)
+from .imex import (GrayScottParams, NonFiniteState, RunConfig, SimState,
+                   reaction_f, reaction_g, run, whole_steps)
 from .mesh import UniformMesh, build_mesh
 
 TWO_PI = 2.0 * math.pi
@@ -261,11 +260,13 @@ ERROR_COLUMNS = ("err_linf_l2_u", "err_linf_l2_v",
 
 @dataclass
 class ErrorTable:
-    """Study rows plus least-squares observed orders per error column."""
+    """Study rows plus least-squares observed orders per error column;
+    failures pairs each NaN row with the NonFiniteState that stopped it."""
 
     rows: list
     orders: dict
     meta: dict = dc_field(default_factory=dict)
+    failures: list = dc_field(default_factory=list)
 
 
 def _validate_samples(samples, T: float, default=None) -> list:
@@ -341,20 +342,20 @@ def default_sample_times(T: float, n: int = 10) -> list:
     return [T * i / n for i in range(1, n + 1)]
 
 
-def _run_rows(params, rows, T, samples, meta, abscissa, nan_rows=False):
+def _run_rows(params, rows, T, samples, meta, abscissa):
     """Run a checked study: error_norms per (case, mesh, dt, eps) row, then
-    orders against abscissa(row); nan_rows makes a blow-up a NaN row."""
-    table = []
+    orders against abscissa(row). A run that stops on NonFiniteState is a
+    NaN row, listed with its error in the table's failures."""
+    table, failures = [], []
     for case, mesh, dt, eps in rows:
         try:
             table.append(error_norms(case, params, mesh, dt, T, samples))
-        except NoConvergence:
-            if not nan_rows:
-                raise
+        except NonFiniteState as e:
             table.append(ErrorRow(mesh.h, dt, *[math.nan] * 5))
+            failures.append((table[-1], e))
         table[-1].eps = eps
     orders = observed_orders(table, [abscissa(r) for r in table])
-    return ErrorTable(table, orders, meta)
+    return ErrorTable(table, orders, meta, failures)
 
 
 def convergence_study(case: ManufacturedCase, params: GrayScottParams,
@@ -362,7 +363,8 @@ def convergence_study(case: ManufacturedCase, params: GrayScottParams,
                       sample_times=None) -> ErrorTable:
     """Refinement sweep with dt = h^2 on nx*nx unit-square meshes.
 
-    Reported orders are slopes vs h^2: 1.0 means error ~ h^2 ~ dt.
+    Reported orders are slopes vs h^2: 1.0 means error ~ h^2 ~ dt. A run
+    stopped by NonFiniteState is a NaN row, listed in failures.
     """
     return _check_convergence(case, params, mesh_sizes, T, sample_times)()
 
@@ -388,7 +390,8 @@ def stability_study(case: ManufacturedCase, params: GrayScottParams,
 
     Sample times must be whole_steps of every dt so no step is shortened
     (which would silently change the dt under test); defaults to {T/2, T}.
-    Orders are slopes vs dt.
+    Orders are slopes vs dt. A run stopped by NonFiniteState is a NaN row,
+    listed in failures.
     """
     return _check_stability(case, params, multipliers, mesh, T,
                             sample_times)()
@@ -410,7 +413,7 @@ def _check_stability(case, params, multipliers, mesh, T, sample_times):
     meta = {"study": "stability", "T": T, "h": h, "multipliers": ks,
             "sample_times": samples, "order_abscissa": "dt"}
     return partial(_run_rows, params, [(case, mesh, k * h, None) for k in ks],
-                   T, samples, meta, lambda r: r.dt, nan_rows=True)
+                   T, samples, meta, lambda r: r.dt)
 
 
 def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
@@ -420,7 +423,8 @@ def interface_study(params: GrayScottParams, eps_list, mesh: UniformMesh,
 
     Errors grow as eps shrinks; orders are slopes vs 1/eps (positive ~2 when
     the error scales like eps^-2). eps at or below 2h raises
-    UnresolvableInterface.
+    UnresolvableInterface. A run stopped by NonFiniteState is a NaN row,
+    listed in failures.
 
     Sampling note: the front position r0 of tanh_case has period 1.
     Sampling at whole periods (e.g. sample_times=[1.0])

@@ -464,6 +464,8 @@ def test_mms_stability_csv(tmp_path):
     lines = (out / "stability_trig.csv").read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok" and "failures" not in manifest
 
 
 def test_config_file_precedence(tmp_path):
@@ -492,20 +494,24 @@ def _simulate_with_config(tmp_path, config, *flags):
     {"nx": 8.0}, {"nx": [1, 2]}, {"nx": True}, {"nx": {"a": 1}},
     {"dt": "fast"}, {"snapshots": "1,x"}, {"preset": "stripes"},
     {"with_v": "false"}, {"with_v": 1}, {"tend": 3}, {"eps": 0.1},
-    {"help": True}, {"he": True}],
+    {"help": True}, {"he": True}, {"d": 3}],
     ids=json.dumps)
 def test_config_rejects_what_its_flag_would(tmp_path, capsys, config):
-    # a wrong-typed value, a key that names no option of the command, or a
-    # key read as --help (which would print help and run nothing)
+    # a wrong-typed value, a key that names no option of the command, a key
+    # read as --help (which would print help and run nothing), or a key that
+    # abbreviates several options
     rc, out = _simulate_with_config(tmp_path, config)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     (key,) = config
     assert "--" + key.replace("_", "-") in err.splitlines()[-1]  # named
-    if key in ("tend", "eps", "help", "he"):  # so is the file it came from
+    if key in ("tend", "eps", "help", "he", "d"):  # so is its file
         assert err.startswith(
             f"error: config {tmp_path / 'cfg.json'}: key {key!r} ")
+    if key == "d":  # one line, naming every option it could be
+        assert err.endswith(": --dt, --d-u, --d-v\n")
+        assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -620,6 +626,7 @@ def test_step_off_the_grid_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failed_simulate_manifest_lists_what_it_wrote(tmp_path, capsys):
     # step 2 from t=1e150 overflows the kinetics of u
     out = tmp_path / "fail"
@@ -636,6 +643,36 @@ def test_failed_simulate_manifest_lists_what_it_wrote(tmp_path, capsys):
     assert manifest["outputs"] == ["u_t1e+150.pgm", "u_t1e+150.csv"]
     assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
                                              + ["manifest.json"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, table, stops", [
+    (["convergence", "--sizes", "8"], "convergence_trig.csv",
+     [(0.125, 0.015625, None, 2, 0.015625)]),
+    (["stability", "--nx", "8", "--multipliers", "1,2"], "stability_trig.csv",
+     [(0.125, 0.125, None, 2, 0.125), (0.125, 0.25, None, 2, 0.25)]),
+    # the first step is shortened to the sample time 0.05
+    (["interface", "--nx", "8", "--eps-list", "0.5", "--dt", "0.25"],
+     "interface_tanh.csv", [(0.125, 0.25, 0.5, 2, 0.05)])],
+    ids=["convergence", "stability", "interface"])
+def test_stopped_study_writes_its_table_and_manifest(tmp_path, capsys,
+                                                     command, table, stops):
+    # F = 1e308 overflows the kinetics of u on the second step of each run
+    out = tmp_path / "out"
+    assert main(["mms", *command, "--t-end", "0.5", "--F", "1e308",
+                 "--out", str(out)]) == 2
+    step, t = stops[0][3:]
+    assert capsys.readouterr().err == \
+        f"error: non-finite u at step {step}, t={t!r}\n"
+    assert sorted(os.listdir(out)) == sorted(["manifest.json", table])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "non-finite"
+    assert manifest["outputs"] == [table]
+    assert [(f["h"], f["dt"], f["eps"], f["step"], f["t"], f["species"])
+            for f in manifest["failures"]] == [s + ("u",) for s in stops]
+    lines = (out / table).read_text().splitlines()
+    assert len(lines) == len(stops) + 2  # header, a NaN row per run, orders
+    assert all(line.endswith(",nan,nan,nan,nan,nan") for line in lines[1:-1])
 
 
 def test_simulate_writes_each_snapshot_as_it_is_reached(tmp_path, capsys):

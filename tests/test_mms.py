@@ -377,6 +377,7 @@ def test_stability_k1_row_coincides_with_error_norms():
     m = build_mesh(16, 16)
     tab = stability_study(c, LAB, [1, 2], m, T=0.5)
     direct = error_norms(c, LAB, m, m.h, 0.5, [0.25, 0.5])
+    assert tab.failures == []
     row = tab.rows[0]
     assert abs(row.err_linf_l2_u - direct.err_linf_l2_u) <= 1e-14
     assert abs(row.err_linf_l2_v - direct.err_linf_l2_v) <= 1e-14
@@ -384,16 +385,39 @@ def test_stability_k1_row_coincides_with_error_norms():
     assert abs(row.err_linf_linf_v - direct.err_linf_linf_v) <= 1e-14
 
 
-def test_stability_records_nan_instead_of_raising():
+def _stopped_stability():
+    # S_u = 1e308 makes the solution of u overflow on the third step
     base = trig_case(0.5, LAB)
     blow = ManufacturedCase(
         "blow", LAB, base.u_star, base.v_star,
         lambda t, x, y: np.full_like(np.asarray(x, dtype=float), 1e308),
         base.S_v)
+    tab = stability_study(blow, LAB, [1], build_mesh(16, 16), T=0.5)
+    return tab, 3, 0.125
+
+
+# F = 1e308 overflows the kinetics of u on the second step
+HUGE_F = GrayScottParams(1.6e-5, 8e-6, 1e308, 0.060)
+_STOPPED = {
+    "stability": _stopped_stability,
+    "convergence": lambda: (convergence_study(
+        trig_case(0.5, HUGE_F), HUGE_F, [8], T=0.5), 2, 0.015625),
+    # the first step is shortened to the sample time 0.05
+    "interface": lambda: (interface_study(
+        HUGE_F, [0.5], build_mesh(8, 8), 0.25, T=0.5), 2, 0.05),
+}
+
+
+@pytest.mark.parametrize("study", list(_STOPPED))
+def test_study_records_nan_instead_of_raising(study):
     with np.errstate(all="ignore"):
-        tab = stability_study(blow, LAB, [1], build_mesh(16, 16), T=0.5)
-    assert not tab.rows[0].finite()
-    assert math.isnan(tab.rows[0].err_linf_l2_u)
+        tab, step, t = _STOPPED[study]()
+    (row,) = tab.rows
+    assert not row.finite()
+    assert math.isnan(row.err_linf_l2_u)
+    ((stopped, err),) = tab.failures
+    assert stopped is row
+    assert (err.step, err.t, err.species) == (step, t, "u")
 
 
 def test_stability_rejects_unreachable_samples():
