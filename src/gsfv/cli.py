@@ -393,7 +393,11 @@ def _cmd_mms_study(args) -> int:
     print(f"wrote {path}")
     if ok:
         return 0
-    stop = table.failures[0][1] if failures else "non-finite errors in table"
+    stop = "non-finite errors in table"
+    if failures:  # name the first stop and its run
+        row, err = table.failures[0]
+        eps = "" if row.eps is None else f", eps={row.eps!r}"
+        stop = f"{err} (run h={row.h!r}, dt={row.dt!r}{eps})"
     print(f"error: {stop}", file=sys.stderr)
     return 2
 

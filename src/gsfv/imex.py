@@ -9,6 +9,20 @@ with f(u, v) = -u v^2 + F (1 - u) and g(u, v) = u v^2 - (F + k) v. Optional
 source callables (t, x, y) are sampled at cell centers at the old time.
 Monitors report bound violations and track an energy ledger; they never
 modify the solution. A non-finite right-hand side raises NonFiniteState.
+
+A species whose solve takes the series (diffusion.solve_path) gets its
+right-hand side in cell values, as written above. On the cosine paths the
+implicit operator is diagonal in the cosine basis, and so are the linear
+kinetic terms F (1 - u) and -(F + k) v, so the step works in modes
+(diffusion.Modes: a shift and the cosine coefficients of the deviation
+from it), the semi-implicit spectral step of Chen & Shen (Comput. Phys.
+Commun. 108, 1998). run() keeps the modes of u and v from step to step;
+a step transforms u v^2 once (with sources, each species' whole rate,
+which a source may cancel), builds each right-hand side from the
+coefficients, and hands it to solve(), which returns the new field from
+one inverse transform and leaves its modes in place of the right-hand
+side's. The shifts follow the formula above on one value, so a uniform
+state keeps its bits.
 """
 
 from __future__ import annotations
@@ -18,7 +32,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .diffusion import ImplicitDiffusionOperator, NoConvergence, solve
+from .diffusion import (ImplicitDiffusionOperator, NoConvergence,
+                        coefficient_array, solve, solve_path, transform)
 from .field import CellField, grad_form_h, inner_h
 
 
@@ -151,47 +166,92 @@ def _sample_source(src, t: float, mesh) -> np.ndarray:
     return np.asarray(src(t, mesh.xc, mesh.yc), dtype=np.float64)
 
 
+def _rate(species: str, x, uvv, F: float, Fk: float):
+    """reaction_f or reaction_g from u v^2, on arrays or on one value."""
+    return F * (1.0 - x) - uvv if species == "u" else uvv - Fk * x
+
+
+def _rhs(rate, x, s, dt: float, h2: float):
+    """h^2 (x + dt (rate + s)), built in place on an array rate: IEEE * and
+    + commute, so the bits are those of the formula."""
+    if s is not None:
+        rate += s
+    rate *= dt
+    rate += x
+    rate *= h2
+    return rate
+
+
 def step(state: SimState, params: GrayScottParams, dt: float,
-         sources=None) -> SimState:
+         sources=None, modes=None) -> SimState:
     """One semi-implicit step of size dt from state.
 
     sources, when given, is a pair (S_u, S_v) of callables (t, x, y)
-    evaluated at the old time. A non-finite right-hand side raises
-    NonFiniteState.
+    evaluated at the old time. modes is the record run() keeps over its
+    steps, a dict holding the Modes of state.u and state.v under "u" and
+    "v" for each species on a cosine path; step() leaves the new state's
+    there. Without it step() transforms u and v itself. A non-finite
+    right-hand side raises NonFiniteState.
     """
     if not dt > 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
     mesh = state.u.mesh
     h2 = mesh.h ** 2
+    F, Fk = params.F, params.F + params.k
+    ops = {"u": ImplicitDiffusionOperator(mesh, params.d_u, dt),
+           "v": ImplicitDiffusionOperator(mesh, params.d_v, dt)}
+    record = {} if modes is None else modes
+    cosine = {sp for sp, op in ops.items() if solve_path(op) != "series"}
+    for sp in ops.keys() - cosine:  # modes left stale by a series step
+        record.pop(sp, None)
+
     u, v = state.u.values, state.v.values
-
-    # reaction_f and reaction_g bit for bit, sharing u v^2, which is freed
-    # before the solves (other orders raised the 128^2 p90 step time ~10%)
-    uvv = u * v * v
-    fu = params.F * (1.0 - u) - uvv
-    gv = uvv - (params.F + params.k) * v
-    del uvv
+    s_u = s_v = None
     if sources is not None:
-        s_u, s_v = sources
-        fu += _sample_source(s_u, state.t, mesh)
-        gv += _sample_source(s_v, state.t, mesh)
-
-    # h2 * (u + dt * fu) built in place: IEEE * and + commute, so the bits
-    # are the same
-    fu *= dt
-    fu += u
-    fu *= h2
-    gv *= dt
-    gv += v
-    gv *= h2
-    rhs_u = CellField(mesh, fu)
-    rhs_v = CellField(mesh, gv)
+        s_u, s_v = (_sample_source(s, state.t, mesh) for s in sources)
+    terms = (("u", u, s_u, F), ("v", v, s_v, Fk))
+    # when the cosine paths transform u v^2 alone, it is written at the
+    # start of the coefficient array that its transform then fills
+    alone = bool(cosine) and sources is None
+    w = coefficient_array(mesh) if alone else None
+    uvv = np.multiply(u, v, out=None if w is None else w.reshape(-1)[:u.size])
+    uvv *= v
+    rhs = {sp: CellField(mesh, _rhs(_rate(sp, x, uvv, F, Fk), x, s, dt, h2))
+           for sp, x, s, _ in terms if sp not in cosine}
+    if alone:
+        w = transform(mesh, uvv, w)
+        w.coeffs *= dt * h2
+    for sp, x, s, decay in terms:
+        if sp not in cosine:
+            continue
+        # on a cosine path the right-hand side is built in modes: its shift
+        # by the formula on one value, its coefficients from those of x
+        if sp not in record:
+            record[sp] = transform(mesh, x)
+        m = record[sp]
+        if s is None:  # the rate is linear in the modes of x and u v^2
+            rate = _rate(sp, m.shift, w.shift, F, Fk)
+            m.coeffs *= h2 * (1.0 - dt * decay)
+            (np.subtract if sp == "u" else np.add)(m.coeffs, w.coeffs,
+                                                   out=m.coeffs)
+        else:  # transformed whole: apart, a source and the kinetics can
+            # overflow where their sum does not
+            r = _rate(sp, x, uvv, F, Fk)
+            r += s
+            r = transform(mesh, r)
+            rate = r.shift
+            m.coeffs *= h2
+            r.coeffs *= dt * h2
+            m.coeffs += r.coeffs
+        m.shift = _rhs(rate, m.shift, None, dt, h2)
+        rhs[sp] = m
+    del uvv, w  # freed before the solves
     try:
-        u_new = solve(ImplicitDiffusionOperator(mesh, params.d_u, dt), rhs_u)
-        v_new = solve(ImplicitDiffusionOperator(mesh, params.d_v, dt), rhs_v)
+        u_new = solve(ops["u"], rhs["u"])
+        v_new = solve(ops["v"], rhs["v"])
     except NoConvergence as e:
         # the solve rejects only a non-finite right-hand side
-        named = (("u", state.u), ("v", state.v), ("u", rhs_u))
+        named = (("u", state.u), ("v", state.v), ("u", rhs["u"]))
         species = next((s for s, f in named if not f.is_finite()), "v")
         raise NonFiniteState(state.n + 1, state.t, species) from e
     return SimState(state.n + 1, state.t + dt, u_new, v_new)
@@ -229,10 +289,11 @@ def run(initial: SimState, params: GrayScottParams, config: RunConfig,
     report.record(initial, params, config, step_dt=None)
     state = initial
     t0 = initial.t
+    modes = {}  # step()'s record of the state's modes
     for i in range(n_steps):
         last = i == n_steps - 1
         dt = config.T - state.t if last and shortened else config.dt
-        state = step(state, params, dt, sources)
+        state = step(state, params, dt, sources, modes)
         state.t = config.T if last else t0 + (i + 1) * config.dt
         report.record(state, params, config, step_dt=dt)
         for obs in observers:

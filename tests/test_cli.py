@@ -661,9 +661,10 @@ def test_stopped_study_writes_its_table_and_manifest(tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["mms", *command, "--t-end", "0.5", "--F", "1e308",
                  "--out", str(out)]) == 2
-    step, t = stops[0][3:]
+    h, dt, eps, step, t = stops[0]
+    run = f"h={h!r}, dt={dt!r}" + ("" if eps is None else f", eps={eps!r}")
     assert capsys.readouterr().err == \
-        f"error: non-finite u at step {step}, t={t!r}\n"
+        f"error: non-finite u at step {step}, t={t!r} (run {run})\n"
     assert sorted(os.listdir(out)) == sorted(["manifest.json", table])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "non-finite"
@@ -673,6 +674,15 @@ def test_stopped_study_writes_its_table_and_manifest(tmp_path, capsys,
     lines = (out / table).read_text().splitlines()
     assert len(lines) == len(stops) + 2  # header, a NaN row per run, orders
     assert all(line.endswith(",nan,nan,nan,nan,nan") for line in lines[1:-1])
+
+
+def test_stopped_study_error_line_names_its_run(tmp_path, capsys):
+    # both rows stop at step 2; only h and dt tell them apart
+    assert main(["mms", "stability", "--nx", "8", "--multipliers", "1,2",
+                 "--t-end", "0.5", "--F", "1e308",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: non-finite u at step 2, "
+                                       "t=0.125 (run h=0.125, dt=0.125)\n")
 
 
 def test_simulate_writes_each_snapshot_as_it_is_reached(tmp_path, capsys):

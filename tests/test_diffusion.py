@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -15,10 +16,15 @@ from gsfv.mesh import build_mesh
 from oracles import dense_operator, interior_faces, solve_cg
 
 
+# solve() on a CellField, forced onto each cosine path
+_DCT = functools.partial(diffusion._solve_cosine, path="dct")
+_FFT = functools.partial(diffusion._solve_cosine, path="fft")
+
+
 def _paths(op):
     """The paths of solve(), forced: both cosine paths always, the series
     where the rule allows it (elsewhere it diverges or is slow)."""
-    paths = [diffusion._solve_dct, diffusion._solve_fft]
+    paths = [_DCT, _FFT]
     if diffusion.series_passes(op) is not None:
         paths.append(diffusion._solve_series)
     return paths
@@ -251,7 +257,7 @@ def test_solve_workspace_does_not_leak_between_calls():
     assert diffusion.series_passes(near) is not None
     kept = []
     # the two cosine paths share the real scratch
-    for cosine in (diffusion._solve_dct, diffusion._solve_fft):
+    for cosine in (_DCT, _FFT):
         first = cosine(op, b1)
         kept.append((first, first.values.copy()))
         second = cosine(op, b2)
@@ -308,11 +314,10 @@ def test_solve_factor_cache_keyed_per_operator():
            ImplicitDiffusionOperator(m, 0.8e-5, 1.0),
            ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)]
     rhs = CellField(m, np.random.default_rng(9).uniform(0.0, 1.0, m.n_cells))
-    for path, factor in ((diffusion._solve_dct, diffusion._spectral_factor),
-                         (diffusion._solve_fft, diffusion._fft_factor)):
+    for path in (_DCT, _FFT):
         first = []
         for op in ops:
-            factor.cache_clear()
+            diffusion._factor.cache_clear()
             first.append(path(op, rhs).values)
         for _ in range(2):
             for op, want in zip(ops, first):
@@ -325,9 +330,9 @@ def test_solve_cached_arrays_read_only():
     for path in [solve] + _paths(op):
         path(op, full(m, 1.0))
     h2, c = m.h ** 2, op.dt * op.d
-    factor = diffusion._spectral_factor(m.ny, m.nx, h2, c)
-    blocks = diffusion._folded_basis(m.nx)
-    for arr in (factor, blocks, diffusion._fft_factor(m.ny, m.nx, h2, c),
+    factors = [diffusion._factor(path, m.ny, m.nx, h2, c, direct)
+               for path in ("dct", "fft") for direct in (False, True)]
+    for arr in (*factors, diffusion._folded_basis(m.nx),
                 diffusion._twiddles(m.nx)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -393,8 +398,8 @@ def test_fft_matches_dct(nx, ny):
     rhs = CellField(m, np.random.default_rng(nx * ny).uniform(-1, 1, m.n_cells))
     for d, dt in ((1.6e-5, 1.0), (8e-6, 1.0), (1.6e-5, 64 * m.h)):
         op = ImplicitDiffusionOperator(m, d, dt)
-        want = diffusion._solve_dct(op, rhs).values
-        got = diffusion._solve_fft(op, rhs).values
+        want = _DCT(op, rhs).values
+        got = _FFT(op, rhs).values
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 1e-12, (d, dt, rel)
 
@@ -470,7 +475,7 @@ def test_series_matches_dct_and_cg(nx, ny, p):
     rhs = CellField(m, np.random.default_rng(p + nx).uniform(-1, 1, m.n_cells))
     got = diffusion._solve_series(op, rhs).values
     assert np.array_equal(solve(op, rhs).values, got)
-    dct = diffusion._solve_dct(op, rhs).values
+    dct = _DCT(op, rhs).values
     assert np.linalg.norm(got - dct) <= 1e-15 * np.linalg.norm(dct)
     cg = solve_cg(op, rhs, tol=1e-13).values
     assert np.linalg.norm(got - cg) <= 1e-12 * np.linalg.norm(cg)
@@ -561,3 +566,112 @@ def test_non_finite_rhs_raises_on_both_paths(dt_rule, bad):
             solve(op, CellField(m, b))
         assert type(ei.value) is NoConvergence
         assert str(ei.value) == "non-finite right-hand side"
+
+
+# The transform pair, cell values to modes (a shift and the cosine
+# coefficients of the deviation from it) and back. The dense path's round
+# trip erred by up to 1.4e-15 relative on the sides below, the FFT path's by
+# up to 7.3e-16.
+
+def _natural(path, c, ny, nx):
+    """The coefficients c in path's layout as an (ny, nx) grid indexed
+    [row mode, column mode]. On the FFT path the imaginary part of pair j
+    holds minus the coefficient of row mode ny - j."""
+    if path == "dct":  # [row parity, column parity, column // 2, row // 2]
+        my, mx = (ny + 1) // 2, (nx + 1) // 2
+        return c.transpose(3, 0, 2, 1).reshape(2 * my, 2 * mx)[:ny, :nx]
+    ky = ny // 2 + 1
+    pairs = c.reshape(nx, ky, 2)
+    grid = np.empty((ny, nx))
+    grid[:ky] = pairs[:, :, 0].T
+    j = np.arange(1, (ny + 1) // 2)
+    grid[ny - j] = -pairs[:, j, 1].T
+    return grid
+
+
+def _dct2_by_matrices(g):
+    """The orthonormal 2-D DCT-II of the (ny, nx) grid g from full cosine
+    matrices, [row mode, column mode]."""
+    def q(n):
+        k, i = np.meshgrid(np.arange(n), np.arange(n))
+        m = np.cos(np.pi * (i + 0.5) * k / n) * math.sqrt(2.0 / n)
+        m[:, 0] = math.sqrt(1.0 / n)
+        return m
+
+    return q(g.shape[0]).T @ g @ q(g.shape[1])
+
+
+def test_transform_round_trip():
+    rng = np.random.default_rng(17)
+    dense = ([(n, n) for n in range(2, 131)]
+             + [(n, n + d) for n in range(2, 125, 11) for d in (1, 6)]
+             + [(n + 5, n) for n in range(2, 125, 13)])
+    for nx, ny in dense + [(240, 240), (250, 250), (512, 512)]:
+        m = build_mesh(nx, ny)
+        fft = diffusion._cosine_path(m) == "fft"
+        assert fft == (nx >= 240), (nx, ny)
+        v = rng.uniform(-1.0, 1.0, m.n_cells)
+        modes = diffusion.transform(m, v)
+        assert modes.shift == v[0]
+        x = diffusion.inverse_transform(modes)
+        rel = np.linalg.norm(x - v) / np.linalg.norm(v)
+        assert rel <= (1e-15 if fft else 2e-15), (nx, ny, rel)
+        # in place: the values at the start of the coefficient array
+        out = diffusion.coefficient_array(m)
+        out.reshape(-1)[:m.n_cells] = v
+        in_place = diffusion.transform(m, out.reshape(-1)[:m.n_cells], out)
+        assert np.array_equal(in_place.coeffs, modes.coeffs)
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (5, 7), (8, 3), (64, 64),
+                                    (127, 129), (240, 240), (512, 512)])
+def test_transform_of_constant_is_its_shift(nx, ny):
+    # the constant lives in the shift alone: every coefficient is an exact
+    # zero, pads included, and the inverse gives the constant back exactly
+    m = build_mesh(nx, ny)
+    for c in (0.3, -7.5e12, 1e-300, 0.0):
+        modes = diffusion.transform(m, full(m, c).values)
+        assert modes.shift == c
+        assert not modes.coeffs.any()
+        assert np.array_equal(diffusion.inverse_transform(modes),
+                              np.full(m.n_cells, c))
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (9, 7), (12, 10),
+                                    (37, 5), (64, 48)])
+def test_dense_and_fft_layouts_hold_the_same_coefficients(nx, ny):
+    m = build_mesh(nx, ny)
+    v = np.random.default_rng(nx * ny).uniform(-1.0, 1.0, m.n_cells)
+    want = _dct2_by_matrices((v - v[0]).reshape(ny, nx))
+    for path in ("dct", "fft"):
+        c = np.empty(diffusion._coefficient_shape(path, ny, nx))
+        diffusion._FORWARD[path](v.reshape(ny, nx), v[0], c)
+        got = _natural(path, c, ny, nx)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if path == "dct":  # the pad modes of odd sides
+            assert not c[:, 1, nx // 2:].any() and not c[1, :, :, ny // 2:].any()
+        else:  # pair 0 has no imaginary part; an even side's last pair
+            # holds its mode twice
+            pairs = c.reshape(nx, -1, 2)
+            assert not pairs[:, 0, 1].any()
+            if ny % 2 == 0:
+                assert np.max(np.abs(pairs[:, -1, 1] + pairs[:, -1, 0])) \
+                    <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, path", [(64, "dct"), (240, "fft")])
+def test_solve_modes_scales_them_into_the_solution(n, path):
+    m = build_mesh(n, n)
+    op = ImplicitDiffusionOperator(m, 1.6e-5, 1.0)
+    assert diffusion.solve_path(op) == path
+    b = np.random.default_rng(n).uniform(0.0, 1.0, m.n_cells)
+    modes = diffusion.transform(m, b)
+    x = solve(op, modes).values
+    want = solve_cg(op, CellField(m, b), tol=1e-13).values
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    # the right-hand side's modes became those of x
+    assert modes.shift == b[0] / m.h ** 2
+    assert np.array_equal(diffusion.inverse_transform(modes), x)
+    modes.coeffs.flat[3] = math.nan
+    with pytest.raises(NoConvergence, match="non-finite right-hand side"):
+        solve(op, modes)

@@ -1,13 +1,17 @@
 import math
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gsfv import imex
 from gsfv.diffusion import (SERIES_MAX_PASSES, ImplicitDiffusionOperator,
-                            NoConvergence, series_passes, solve)
+                            NoConvergence, coefficient_array, series_passes,
+                            solve, solve_path)
 from gsfv.field import CellField, full, inner_h, project
 from gsfv.imex import (GrayScottParams, MonitorReport, NonFiniteState,
                        RunConfig, SimState, reaction_f, reaction_g, run, step,
@@ -264,9 +268,11 @@ _EDGE = 2.0 ** (-53.0 / (SERIES_MAX_PASSES + 1)) / (8.0 * LAB.d_u * 37 ** 2)
                                     (37, 0.9 * _EDGE), (37, 1.1 * _EDGE)])
 @pytest.mark.parametrize("with_sources", [False, True])
 def test_step_matches_step_assembled_from_reactions(nx, dt, with_sources):
-    # the step's shared u v^2 and in-place right-hand side must round as
-    # reaction_f, reaction_g and h^2 (u + dt f) do, and the whole step must
-    # agree with the same arithmetic on the CG reference solve
+    # on the series the step's shared u v^2 and in-place right-hand side
+    # must round as reaction_f, reaction_g and h^2 (u + dt f) do; a cosine
+    # path's right-hand side, built in its modes, must agree with that one
+    # solved to 2e-15 (4.4e-16 seen). The whole step must agree with the
+    # same arithmetic on the CG reference solve
     m = build_mesh(nx, nx)
     if dt in (0.9 * _EDGE, 1.1 * _EDGE):
         assert series_passes(ImplicitDiffusionOperator(m, LAB.d_u, dt)) == (
@@ -287,8 +293,12 @@ def test_step_matches_step_assembled_from_reactions(nx, dt, with_sources):
                    CellField(m, h2 * (v + dt * gv)))
     state = SimState(0, 0.3, CellField(m, u), CellField(m, v))
     got = step(state, LAB, dt, sources)
-    assert np.array_equal(got.u.values, want_u.values)
-    assert np.array_equal(got.v.values, want_v.values)
+    for d, new, want in ((LAB.d_u, got.u, want_u), (LAB.d_v, got.v, want_v)):
+        if solve_path(ImplicitDiffusionOperator(m, d, dt)) == "series":
+            assert np.array_equal(new.values, want.values)
+        else:  # a cosine path builds the right-hand side in its modes
+            assert np.linalg.norm(new.values - want.values) <= \
+                2e-15 * np.linalg.norm(want.values)
     ref = step_cg(state, LAB, dt, sources)
     for new, cg in ((got.u, ref.u), (got.v, ref.v)):
         assert np.linalg.norm(new.values - cg.values) <= \
@@ -329,3 +339,167 @@ def test_non_finite_state_names_step_time_species(where, species):
     assert (err.step, err.t, err.species) == (1, 0.25, species)
     assert isinstance(err, NoConvergence)  # study NaN rows, CLI exit 2
     assert str(err) == f"non-finite {species} at step 1, t=0.25"
+
+
+@pytest.mark.parametrize("nx, dt, steps, paths", [
+    (16, 1.0, 3, ("dct", "dct")),
+    (256, 1.0, 2, ("fft", "fft")),
+    (16, 16.0 ** -2, 3, ("series", "series")),
+    (37, 1.1 * _EDGE, 3, ("dct", "series"))],
+    ids=["dense", "fft", "series", "mixed"])
+def test_run_calls_step_and_solve_once_each(monkeypatch, nx, dt, steps,
+                                            paths):
+    # the benchmark's traced counts rest on this: run() calls step() once
+    # per step, and step() calls solve() once per species
+    calls = {"step": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(imex, "step", counted("step", imex.step))
+    monkeypatch.setattr(imex, "solve", counted("solve", imex.solve))
+    m = build_mesh(nx, nx)
+    assert tuple(solve_path(ImplicitDiffusionOperator(m, d, dt))
+                 for d in (LAB.d_u, LAB.d_v)) == paths
+    u0, v0 = pattern_initial_condition(m)
+    run(SimState(0, 0.0, u0, v0), LAB, RunConfig(dt=dt, T=steps * dt))
+    assert calls == {"step": steps, "solve": 2 * steps}
+
+
+@pytest.mark.parametrize("nx, steps", [(24, 12), (240, 2)],
+                         ids=["dense", "fft"])
+@pytest.mark.parametrize("with_sources", [False, True])
+def test_run_matches_steps_on_cg(nx, steps, with_sources):
+    # a run carries each species' modes from step to step; it must agree
+    # with the steps of the reference arithmetic on CG: the pattern run at
+    # dt = 1, the moving front from its exact start at dt = 1/16
+    m = build_mesh(nx, nx)
+    dt, sources = 1.0, None
+    u0, v0 = pattern_initial_condition(m)
+    if with_sources:
+        case = tanh_case(0.1, LAB)
+        dt, sources = 1.0 / 16.0, (case.S_u, case.S_v)
+        u0 = project(m, lambda x, y: case.u_star(0.0, x, y))
+        v0 = project(m, lambda x, y: case.v_star(0.0, x, y))
+    assert solve_path(ImplicitDiffusionOperator(m, LAB.d_v, dt)) != "series"
+    final, _ = run(SimState(0, 0.0, u0, v0), LAB,
+                   RunConfig(dt=dt, T=steps * dt), sources)
+    ref = SimState(0, 0.0, u0, v0)
+    for _ in range(steps):
+        ref = step_cg(ref, LAB, dt, sources)
+    for got, want in ((final.u, ref.u), (final.v, ref.v)):
+        assert np.linalg.norm(got.values - want.values) <= \
+            1e-12 * np.linalg.norm(want.values)
+
+
+def test_run_takes_the_series_on_a_short_last_step():
+    # the last step, shortened to 1e-7, takes the series for both species
+    m = build_mesh(16, 16)
+    u0, v0 = pattern_initial_condition(m)
+    cfg = RunConfig(dt=1.0, T=3.0 + 1e-7)
+    last = cfg.T - 3.0
+    assert solve_path(ImplicitDiffusionOperator(m, LAB.d_u, last)) == "series"
+    final, rep = run(SimState(0, 0.0, u0, v0), LAB, cfg)
+    assert rep.shortened_final_step
+    ref = SimState(0, 0.0, u0, v0)
+    for dt in (1.0, 1.0, 1.0, last):
+        ref = step_cg(ref, LAB, dt)
+    for got, want in ((final.u, ref.u), (final.v, ref.v)):
+        assert np.linalg.norm(got.values - want.values) <= \
+            1e-12 * np.linalg.norm(want.values)
+
+
+def test_step_record_forgets_modes_on_a_series_step():
+    # the record must not hand a later cosine step the modes of a state
+    # that a series step has since replaced
+    m = build_mesh(16, 16)
+    u0, v0 = pattern_initial_condition(m)
+    record, with_record, bare = {}, SimState(0, 0.0, u0, v0), \
+        SimState(0, 0.0, u0, v0)
+    for dt in (1.0, 1e-7, 1.0):
+        with_record = step(with_record, LAB, dt, modes=record)
+        bare = step(bare, LAB, dt)
+        assert np.array_equal(with_record.u.values, bare.u.values)
+        assert np.array_equal(with_record.v.values, bare.v.values)
+
+
+@pytest.mark.parametrize("nx, path", [(64, "dct"), (240, "fft")])
+def test_run_step_allocations_stay_flat(nx, path):
+    # tracemalloc's peak within each step, above what was held when it
+    # began: u v^2 (which its coefficients then replace) and the two new
+    # fields, plus small objects, alike on every step; and the numpy arrays
+    # held after a step (the state, the record's modes, the caches) the
+    # same from step to step
+    m = build_mesh(nx, nx)
+    assert solve_path(ImplicitDiffusionOperator(m, LAB.d_v, 1.0)) == path
+    u0, v0 = pattern_initial_condition(m)
+    initial = SimState(0, 0.0, u0, v0)
+    cfg = RunConfig(dt=1.0, T=200.0 if path == "dct" else 20.0,
+                    monitors=False)
+    run(initial, LAB, RunConfig(dt=1.0, T=2.0))  # fills the caches
+    steps = whole_steps(cfg.T, cfg.dt)
+    above = np.zeros(steps + 1, dtype=np.int64)
+    held = np.zeros(steps + 1, dtype=np.int64)
+    arrays = []
+
+    def array_sizes():
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        traces = tracemalloc.take_snapshot().filter_traces([domain]).traces
+        return sorted(t.size for t in traces)
+
+    def observe(state):
+        current, peak = tracemalloc.get_traced_memory()
+        above[state.n] = peak - held[state.n - 1]
+        held[state.n] = current
+        if state.n in (2, steps):
+            arrays.append(array_sizes())
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        held[0] = tracemalloc.get_traced_memory()[0]
+        run(initial, LAB, cfg, observers=[observe])
+    finally:
+        tracemalloc.stop()
+    # the first step also transforms u and v into the run's record
+    block = 8 * coefficient_array(m).size
+    assert np.ptp(above[2:]) <= 4096
+    assert np.max(above[2:]) <= block + 2 * 8 * m.n_cells + 4096
+    assert arrays[0] == arrays[1]
+
+
+@pytest.mark.parametrize("nx", [64, 240], ids=["dense", "fft"])
+def test_runs_in_two_threads_match_serial(nx):
+    # each run keeps its own record of modes; the transforms share one
+    # scratch per mesh shape, under the solver's lock
+    m = build_mesh(nx, nx)
+    rng = np.random.default_rng(nx)
+    starts = [SimState(0, 0.0, CellField(m, 1.0 - 0.1 * rng.random(m.n_cells)),
+                       CellField(m, 0.1 * rng.random(m.n_cells)))
+              for _ in range(2)]
+    cfg = RunConfig(dt=1.0, T=40.0 if nx == 64 else 6.0, monitors=False)
+    want = [run(s, LAB, cfg)[0] for s in starts]
+    got = [None, None]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = run(starts[i], LAB, cfg)[0]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.u.values, w.u.values)
+        assert np.array_equal(g.v.values, w.v.values)
