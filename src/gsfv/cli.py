@@ -221,13 +221,10 @@ def _t_end(args) -> float:
     return args.t_end
 
 
-def _solver_paths(mesh, dt: float, d_u: float, d_v: float):
-    """The path solve() takes per species ("series", "dct" or "fft"): one
-    name when both species take the same one, else the two keyed by
-    species."""
-    paths = {species: solve_path(ImplicitDiffusionOperator(mesh, d, dt))
-             for species, d in (("u", d_u), ("v", d_v))}
-    return paths["u"] if paths["u"] == paths["v"] else paths
+def _solve_paths(mesh, dt: float, d_u: float, d_v: float) -> dict:
+    """The path solve() takes per species: "series", "dct" or "fft"."""
+    return {species: solve_path(ImplicitDiffusionOperator(mesh, d, dt))
+            for species, d in (("u", d_u), ("v", d_v))}
 
 
 def _fmt_t(t: float) -> str:
@@ -265,11 +262,12 @@ def _cmd_simulate(args) -> int:
     run = _check_pattern(pat, mesh, args.dt, d_u, d_v, t_end, args.snapshots)
     _ensure_out_dir(out)
     outputs, times, finite = [], [], []
+    paths = _solve_paths(mesh, args.dt, d_u, d_v)  # one name when alike
     config_echo = {"preset": pat.name, "F": pat.F, "k": pat.k,
                    "nx": args.nx, "h": mesh.h, "dt": args.dt,
                    "t_end": t_end, "d_u": d_u, "d_v": d_v,
                    "with_v": args.with_v, "snapshot_times": times,
-                   "solver": _solver_paths(mesh, args.dt, d_u, d_v),
+                   "solver": paths["u"] if paths["u"] == paths["v"] else paths,
                    "bound_tolerance": BOUND_TOLERANCE}
 
     def take(state) -> None:
@@ -384,9 +382,15 @@ def _cmd_mms_study(args) -> int:
     ok = all(r.finite() for r in table.rows)
     failures = [{"h": r.h, "dt": r.dt, "eps": r.eps, "step": e.step,
                  "t": e.t, "species": e.species} for r, e in table.failures]
+    rows = []
+    for r in table.rows:
+        n = round(1.0 / r.h)  # every study runs on square meshes
+        paths = _solve_paths(build_mesh(n, n), r.dt, params.d_u, params.d_v)
+        rows.append({"h": r.h, "dt": r.dt, "eps": r.eps, "paths": paths})
     _write_manifest(args.out, f"mms {name}",
                     {**echo, "T": T, "params": asdict(params), **table.meta},
                     None, [fname], status="ok" if ok else "non-finite",
+                    rows=rows, pairwise_orders=table.pairwise_orders,
                     **({} if ok else {"failures": failures}))
     for c in ERROR_COLUMNS:
         print(f"{c}: order {table.orders[c]:.4f}")

@@ -261,12 +261,15 @@ ERROR_COLUMNS = ("err_linf_l2_u", "err_linf_l2_v",
 @dataclass
 class ErrorTable:
     """Study rows plus least-squares observed orders per error column;
-    failures pairs each NaN row with the NonFiniteState that stopped it."""
+    failures pairs each NaN row with the NonFiniteState that stopped it;
+    pairwise_orders lists per error column the order between each two
+    consecutive finite rows."""
 
     rows: list
     orders: dict
     meta: dict = dc_field(default_factory=dict)
     failures: list = dc_field(default_factory=list)
+    pairwise_orders: dict = dc_field(default_factory=dict)
 
 
 def _validate_samples(samples, T: float, default=None) -> list:
@@ -337,6 +340,15 @@ def observed_orders(rows, x_values) -> dict:
     return out
 
 
+def _pairwise_orders(rows, x_values) -> dict:
+    """observed_orders between each two consecutive finite rows, per error
+    column (NaN rows are skipped)."""
+    kept = [(r, x) for r, x in zip(rows, x_values) if r.finite()]
+    pairs = [observed_orders([r0, r1], [x0, x1])
+             for (r0, x0), (r1, x1) in zip(kept, kept[1:])]
+    return {col: [o[col] for o in pairs] for col in ERROR_COLUMNS}
+
+
 def default_sample_times(T: float, n: int = 10) -> list:
     """n evenly spaced sample times T/n, 2T/n, ..., T."""
     return [T * i / n for i in range(1, n + 1)]
@@ -344,8 +356,9 @@ def default_sample_times(T: float, n: int = 10) -> list:
 
 def _run_rows(params, rows, T, samples, meta, abscissa):
     """Run a checked study: error_norms per (case, mesh, dt, eps) row, then
-    orders against abscissa(row). A run that stops on NonFiniteState is a
-    NaN row, listed with its error in the table's failures."""
+    orders against abscissa(row), fitted and pairwise. A run that stops on
+    NonFiniteState is a NaN row, listed with its error in the table's
+    failures."""
     table, failures = [], []
     for case, mesh, dt, eps in rows:
         try:
@@ -354,8 +367,9 @@ def _run_rows(params, rows, T, samples, meta, abscissa):
             table.append(ErrorRow(mesh.h, dt, *[math.nan] * 5))
             failures.append((table[-1], e))
         table[-1].eps = eps
-    orders = observed_orders(table, [abscissa(r) for r in table])
-    return ErrorTable(table, orders, meta, failures)
+    xs = [abscissa(r) for r in table]
+    return ErrorTable(table, observed_orders(table, xs), meta, failures,
+                      _pairwise_orders(table, xs))
 
 
 def convergence_study(case: ManufacturedCase, params: GrayScottParams,

@@ -468,6 +468,33 @@ def test_mms_stability_csv(tmp_path):
     assert manifest["status"] == "ok" and "failures" not in manifest
 
 
+@pytest.mark.parametrize("command, table, path, abscissa", [
+    (["convergence", "--sizes", "8,16,32", "--t-end", "0.25"],
+     "convergence_trig.csv", "series", lambda h, dt: h * h),
+    (["stability", "--nx", "16", "--multipliers", "1,2,4", "--t-end", "0.5"],
+     "stability_trig.csv", "dct", lambda h, dt: dt)],
+    ids=["convergence", "stability"])
+def test_study_manifest_rows_and_pairwise_orders(tmp_path, command, table,
+                                                 path, abscissa):
+    # dt = h^2 takes the series; dt = k h at 16^2 the dense cosine path
+    out = tmp_path / "out"
+    assert main(["mms", *command, "--case", "trig", "--out", str(out)]) == 0
+    lines = (out / table).read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    csv_rows = [[float(c) for c in line.split(",")] for line in lines[1:-1]]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rows"] == [
+        {"h": r[0], "dt": r[1], "eps": None, "paths": {"u": path, "v": path}}
+        for r in csv_rows]
+    pairwise = manifest["pairwise_orders"]
+    assert sorted(pairwise) == sorted(ERROR_COLUMNS)
+    for i, col in enumerate(ERROR_COLUMNS):
+        want = [math.log(r1[2 + i] / r0[2 + i])
+                / math.log(abscissa(*r1[:2]) / abscissa(*r0[:2]))
+                for r0, r1 in zip(csv_rows, csv_rows[1:])]
+        assert pairwise[col] == pytest.approx(want, rel=1e-9), col
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nx": 16, "t_end": 4.0, "dt": 1.0}))

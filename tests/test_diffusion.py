@@ -246,6 +246,20 @@ def test_solve_agrees_with_cg_at_production_sizes(nx, ny, dt_rule):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, path", [(128, "dct"), (257, "dct"), (512, "fft")])
+def test_solve_known_solution_at_stiff_end(n, path):
+    # rho = 8 dt d / h^2 is 5e5 at 512^2: the residual form's correction
+    # cancelled rhs / h^2 there and erred by 5e-12 (128^2) to 7e-11 (512^2);
+    # the direct form, with the mean shift, by at most 1.5e-13 over 20 x
+    m = build_mesh(n, n)
+    op = ImplicitDiffusionOperator(m, 1.0, 0.25)
+    assert 8.0 * op.dt * op.d / m.h ** 2 > diffusion.DIRECT_MIN_RHO
+    assert diffusion.solve_path(op) == path
+    x = np.random.default_rng(n).uniform(0.0, 1.0, m.n_cells)
+    got = solve(op, apply(op, CellField(m, x))).values
+    assert np.linalg.norm(got - x) <= 2e-12 * np.linalg.norm(x)
+
+
 def test_solve_workspace_does_not_leak_between_calls():
     rng = np.random.default_rng(3)
     m, other = build_mesh(12, 12), build_mesh(9, 5)
@@ -332,7 +346,8 @@ def test_solve_cached_arrays_read_only():
     h2, c = m.h ** 2, op.dt * op.d
     factors = [diffusion._factor(path, m.ny, m.nx, h2, c, direct)
                for path in ("dct", "fft") for direct in (False, True)]
-    for arr in (*factors, diffusion._folded_basis(m.nx),
+    dense = diffusion._plan(m.ny, m.nx).dense
+    for arr in (*factors, dense.by, dense.bx, dense.bx_t,
                 diffusion._twiddles(m.nx)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -342,14 +357,15 @@ def test_solve_cached_arrays_read_only():
 def test_solve_scratch_starts_on_cache_lines():
     # the series' passes slow by ~30% at 128^2 with the scratch mid-line
     for nx, ny in ((2, 2), (37, 5), (128, 128), (129, 127)):
-        for buf in diffusion._workspace(ny, nx):
+        plan = diffusion._plan(ny, nx)
+        for buf in (plan.a, plan.b, plan.z):
             assert buf.ctypes.data % 64 == 0
             assert buf.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n, dt_rule, path, reps", [
     (128, "h^2", "series", 200), (128, "1", "dct", 200),
-    (256, "1", "fft", 40)])
+    (127, "1", "dct", 200), (256, "1", "fft", 40)])
 def test_solve_from_two_threads_matches_serial(n, dt_rule, path, reps):
     # the paths share one scratch per mesh shape; without solve()'s lock
     # most of these solves came back wrong, with no error
@@ -383,10 +399,48 @@ def test_solve_from_two_threads_matches_serial(n, dt_rule, path, reps):
     assert wrong == [0, 0]
 
 
-# The FFT path against the dense one, at 1e-12 relative (the dense products
-# carry most of that: against a known solution the FFT path's error was ~60
-# times smaller at 512^2), in the pattern runs' regime and at the stiff end,
-# on every width from 2 to 9 and at the sizes on each side of the switch.
+def test_transforms_from_two_threads_match_serial():
+    # odd sides: the dense pair's middle rows are written into the shared
+    # scratch through the plan's views
+    m = build_mesh(37, 5)
+    assert diffusion._cosine_path(m) == "dct"
+    rng = np.random.default_rng(37)
+    values = [rng.uniform(-1.0, 1.0, m.n_cells) for _ in range(2)]
+    want = [(diffusion.transform(m, v).coeffs,
+             diffusion.inverse_transform(diffusion.transform(m, v)))
+            for v in values]
+    start = threading.Barrier(2)
+    done, wrong = [0, 0], [0, 0]
+
+    def work(i):
+        start.wait(timeout=60)
+        for _ in range(500):
+            modes = diffusion.transform(m, values[i])
+            wrong[i] += not np.array_equal(modes.coeffs, want[i][0])
+            wrong[i] += not np.array_equal(diffusion.inverse_transform(modes),
+                                           want[i][1])
+            done[i] += 1
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert done == [500, 500]
+    assert wrong == [0, 0]
+
+
+# The FFT path against the dense one, at 1e-12 relative (against a known
+# solution both erred by under 1e-15 at 512^2 in the pattern runs' regime,
+# and by ~5e-14 at d = 1, dt = 0.25), in the pattern runs' regime and at the
+# stiff end, on every width from 2 to 9 and at the sizes on each side of
+# the switch.
 
 @pytest.mark.parametrize("nx, ny", [(nx, ny) for nx in range(2, 10)
                                     for ny in (2, 3, 4, 7)]
