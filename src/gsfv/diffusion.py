@@ -35,23 +35,13 @@ values to Modes: a scalar shift s = values[0] and the orthonormal cosine
 coefficients Q^T (values - s), in the path's own layout.
 inverse_transform() takes them back to s + Q coeffs. A constant field is
 its shift alone, with coefficients that are exact zeros, and comes back
-exactly. solve() solves in the cosine basis in two forms, each with one
-factor grid per operator cached in the path's layout (_factor):
-
-- Modes, as imex.step() hands them over, in the direct form
-  x = s / h^2 + Q Lambda^-1 Q^T (rhs - s), Lambda = h^2 + c L, which
-  makes the semi-implicit step a spectral one (Chen & Shen, Comput. Phys.
-  Commun. 108, 1998): the coefficients are scaled in place into those of
-  x, the shift is divided by h^2, and x is one inverse transform.
-  1 / Lambda is exact to rounding at any stiffness.
-- A CellField, one transform each way. Up to rho = DIRECT_MIN_RHO, in
-  the residual form x = rhs / h^2 - Q (phi / h^2) Q^T (rhs - rhs[0]),
-  phi = c L / (h^2 + c L). The correction is A^-1 applied to the residual
-  rhs - A (rhs / h^2); relative to x it is at most c L / h^2, so near the
-  identity its rounding is far below that of rhs / h^2. When c L / h^2 is
-  large it cancels against rhs / h^2, so above DIRECT_MIN_RHO the direct
-  form is taken, with s the mean of rhs: the mean mode of rhs - s is then
-  0 but for rounding, and is set to 0.
+exactly. solve() solves in the cosine basis in the direct form
+x = s / h^2 + Q Lambda^-1 Q^T (rhs - s), Lambda = h^2 + c L (Chen & Shen,
+Comput. Phys. Commun. 108, 1998), one factor grid 1 / Lambda per operator
+(_factor). A CellField takes s = mean(rhs), mean mode 0 (_solve_cosine):
+as transform() would (s = rhs[0], mean mode kept) it erred 5.2e-12,
+3.5e-11, 3.0e-11 at 128^2, 257^2, 512^2 against a known x at d = 1,
+dt = 0.25, and 2.9e-14, 5.3e-14, 1.7e-13 this way (worst of 20 x).
 
 Neither path forms the n x n cosine matrix Q. Its columns are mirror
 symmetric, Q[n-1-i, k] = (-1)^k Q[i, k], so a dense transform needs only
@@ -137,13 +127,6 @@ SERIES_MAX_PASSES = 4  # above it the series no longer beats the DCT at 64^2
 # 0.65 vs 0.71 ms at 192^2, 1.06 vs 1.13 at 224^2, 1.23 vs 1.10 at 240^2,
 # 1.44 vs 1.39 at 256^2, 10.6 vs 6.5 at 512^2.
 FFT_MIN_CELLS = 240 * 240
-# solve() takes a CellField on a cosine path in the direct form above this
-# rho = 8 dt d / h^2, in the residual form up to it. Relative error against
-# a known uniform random x, median of 8, residual / direct form on the
-# dense path at 128^2: 1.7e-16 / 3.0e-16 at rho = 1, 3.0e-16 / 3.0e-16 at
-# 2, 5.8e-16 / 3.1e-16 at 4 and 1.5e-14 / 5.5e-16 at 100; alike at 64^2
-# and 257^2.
-DIRECT_MIN_RHO = 2.0
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -200,14 +183,12 @@ def _coefficient_shape(path: str, ny: int, nx: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _factor(path: str, ny: int, nx: int, h2: float, c: float,
-            direct: bool) -> np.ndarray:
-    """The spectral factor of the operator with c = dt * d on an ny x nx
-    mesh of spacing sqrt(h2), read-only, in the coefficient layout of
-    `path`: 1 / (h^2 + c L) when direct, else -phi / h^2 with
-    phi = c L / (h^2 + c L). Pad modes get 0."""
+def _factor(path: str, ny: int, nx: int, h2: float, c: float) -> np.ndarray:
+    """The spectral factor 1 / (h^2 + c L) of the operator with c = dt * d
+    on an ny x nx mesh of spacing sqrt(h2), read-only, in the coefficient
+    layout of `path`. Pad modes get 0."""
     cl = c * (_neumann_eigenvalues(ny)[:, None] + _neumann_eigenvalues(nx))
-    g = (1.0 / (h2 + cl) if direct else -cl / (h2 + cl) / h2).T
+    g = (1.0 / (h2 + cl)).T
     if path == "dct":  # [column mode, row mode] to [p, q, column, row]
         my, mx = (ny + 1) // 2, (nx + 1) // 2
         f = np.zeros((2 * mx, 2 * my))
@@ -331,10 +312,9 @@ def _dct_forward(v2: np.ndarray, shift: float, out: np.ndarray) -> None:
     np.matmul(p.bx_t, p.f4, out=out)
 
 
-def _dct_inverse(c4: np.ndarray, base, out2: np.ndarray) -> None:
+def _dct_inverse(c4: np.ndarray, base: float, out2: np.ndarray) -> None:
     """out2 = base + the (ny, nx) grid with the coefficients c4: the steps
-    of _dct_forward backwards. base is a float or an (ny, nx) array, and
-    may be out2."""
+    of _dct_forward backwards."""
     p = _plan(*out2.shape).dense
     r, c = p.row_fold, p.col_fold
     np.matmul(p.bx, c4, out=p.f4)
@@ -375,11 +355,10 @@ def _fft_forward(v2: np.ndarray, shift: float, out: np.ndarray) -> None:
     zc *= _twiddles(ny)[0]
 
 
-def _fft_inverse(c2: np.ndarray, base, out2: np.ndarray) -> None:
+def _fft_inverse(c2: np.ndarray, base: float, out2: np.ndarray) -> None:
     """out2 = base + the (ny, nx) grid with the coefficients c2: the steps
     of _fft_forward backwards, the real coefficients of each mesh row
-    paired as Y_k - i Y_(n-k). base is a float or an (ny, nx) array, and
-    may be out2."""
+    paired as Y_k - i Y_(n-k)."""
     ny, nx = out2.shape
     my, mx, kx = (ny + 1) // 2, (nx + 1) // 2, nx // 2 + 1
     p = _plan(ny, nx)
@@ -395,9 +374,8 @@ def _fft_inverse(c2: np.ndarray, base, out2: np.ndarray) -> None:
     zr *= _twiddles(nx)[1]
     rows = p.a[:ny * nx].reshape(ny, nx)
     np.fft.irfft(zr, n=nx, axis=1, out=rows)
-    base = np.broadcast_to(base, out2.shape)
-    np.add(rows[:, :mx], base[:, 0::2], out=out2[:, 0::2])
-    np.add(rows[:, :mx - 1:-1], base[:, 1::2], out=out2[:, 1::2])
+    np.add(rows[:, :mx], base, out=out2[:, 0::2])
+    np.add(rows[:, :mx - 1:-1], base, out=out2[:, 1::2])
 
 
 _FORWARD = {"dct": _dct_forward, "fft": _fft_forward}
@@ -508,8 +486,7 @@ def solve(op: ImplicitDiffusionOperator, rhs: CellField | Modes) -> CellField:
     m = op.mesh
     h2 = m.h ** 2
     if isinstance(rhs, Modes):
-        rhs.coeffs *= _factor(_cosine_path(m), m.ny, m.nx, h2, op.dt * op.d,
-                              True)
+        rhs.coeffs *= _factor(_cosine_path(m), m.ny, m.nx, h2, op.dt * op.d)
         rhs.shift = rhs.shift / h2
         return CellField(m, inverse_transform(rhs))
     path = solve_path(op)
@@ -542,30 +519,21 @@ def _solve_series(op: ImplicitDiffusionOperator, rhs: CellField) -> CellField:
 
 def _solve_cosine(op: ImplicitDiffusionOperator, rhs: CellField,
                   path: str) -> CellField:
-    """A x = rhs on the cosine path `path` (module docstring): in the
-    residual form up to rho = 8 dt d / h^2 = DIRECT_MIN_RHO, above it in
-    the direct form with s the mean of rhs. The caller holds
-    _scratch_lock."""
+    """A x = rhs on the cosine path `path`; the caller holds _scratch_lock."""
     m = op.mesh
     h2 = m.h ** 2
     v = rhs.values
     c = np.empty(_coefficient_shape(path, m.ny, m.nx))
-    if 8.0 * op.dt * op.d / h2 > DIRECT_MIN_RHO:
-        # the mean of rhs as it is (rhs[0] + mean(rhs - rhs[0]) erred ~50x
-        # more), and rhs[0] for a constant rhs, which then comes back exactly
-        s = v[0] if v.min() == v.max() else np.mean(v)
-        _FORWARD[path](v.reshape(m.ny, m.nx), s, c)
-        # the mean mode of rhs - s, first in either layout, is 0 but for
-        # rounding, which 1 / h^2 amplifies: at 512^2, d = 1, dt = 0.25 the
-        # error against 20 known x was 1e-13 to 6e-12 with it kept, 2e-14 to
-        # 1.5e-13 with it zeroed
-        c.flat[0] = 0.0
-        c *= _factor(path, m.ny, m.nx, h2, op.dt * op.d, True)
-        x, base = np.empty(m.n_cells), s / h2
-    else:
-        _FORWARD[path](v.reshape(m.ny, m.nx), v[0], c)
-        c *= _factor(path, m.ny, m.nx, h2, op.dt * op.d, False)
-        x = v / h2
-        base = x.reshape(m.ny, m.nx)
-    _INVERSE[path](c, base, x.reshape(m.ny, m.nx))
+    # the mean of rhs as it is (rhs[0] + mean(rhs - rhs[0]) erred ~50x more),
+    # and rhs[0] for a constant rhs, which then comes back exactly
+    s = v[0] if v.min() == v.max() else np.mean(v)
+    _FORWARD[path](v.reshape(m.ny, m.nx), s, c)
+    # the mean mode of rhs - s, first in either layout, is 0 but for
+    # rounding, which 1 / h^2 amplifies: at 512^2, d = 1, dt = 0.25 the
+    # error against 20 known x was 1e-13 to 6e-12 with it kept, 2e-14 to
+    # 1.5e-13 with it zeroed
+    c.flat[0] = 0.0
+    c *= _factor(path, m.ny, m.nx, h2, op.dt * op.d)
+    x = np.empty(m.n_cells)
+    _INVERSE[path](c, s / h2, x.reshape(m.ny, m.nx))
     return CellField(m, x)

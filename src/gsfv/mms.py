@@ -273,6 +273,8 @@ class ErrorTable:
 
 
 def _validate_samples(samples, T: float, default=None) -> list:
+    if not T > 0.0:
+        raise ValueError(f"need a terminal time T > 0, got T={T}")
     ts = [float(s) for s in (default if samples is None else samples)]
     if not ts:
         raise SampleTimeUnreachable("no sample times given")

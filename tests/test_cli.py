@@ -264,6 +264,23 @@ def test_non_finite_t_end_is_a_usage_error(tmp_path, capsys, command, t_end):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["mms", "convergence", "--sizes", "4,8"],
+    ["mms", "convergence", "--sizes", "4,8", "--sample-times", "0"],
+    ["mms", "stability", "--nx", "8"],
+    ["mms", "interface", "--nx", "32", "--eps-list", "0.2"]])
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_study_rejects_terminal_time_at_or_below_zero(tmp_path, capsys,
+                                                      command, t_end):
+    # with --sample-times 0 the study ran and wrote a table of zero errors
+    out = tmp_path / "out"
+    rc = main(command + ["--t-end", t_end, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need a terminal time T > 0, got T={float(t_end)}\n"
+    assert not out.exists()
+
+
 def test_stability_rejects_infinite_multiplier(tmp_path, capsys):
     rc = main(["mms", "stability", "--nx", "8", "--t-end", "0.25",
                "--multipliers", "1,inf", "--out", str(tmp_path / "stab")])
@@ -789,8 +806,10 @@ def test_library_option_surface():
                  "solve_cg", "Snapshot"):
         assert not hasattr(gsfv, gone) and gone not in gsfv.__all__
     # the CG reference and the face list live in tests/oracles.py
+    # the cosine paths solve a CellField in one form, at every rho
     for owner, gone in ((diffusion, "solve_cg"), (UniformMesh, "n_faces"),
-                        (UniformMesh, "interior_faces")):
+                        (UniformMesh, "interior_faces"),
+                        (diffusion, "DIRECT_MIN_RHO")):
         assert not hasattr(owner, gone)
 
 

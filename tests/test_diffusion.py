@@ -248,16 +248,33 @@ def test_solve_agrees_with_cg_at_production_sizes(nx, ny, dt_rule):
 
 @pytest.mark.parametrize("n, path", [(128, "dct"), (257, "dct"), (512, "fft")])
 def test_solve_known_solution_at_stiff_end(n, path):
-    # rho = 8 dt d / h^2 is 5e5 at 512^2: the residual form's correction
+    # rho = 8 dt d / h^2 is 5e5 at 512^2: a residual form's correction
     # cancelled rhs / h^2 there and erred by 5e-12 (128^2) to 7e-11 (512^2);
-    # the direct form, with the mean shift, by at most 1.5e-13 over 20 x
+    # the direct form, with the mean shift, by at most 1.7e-13 over 20 x
     m = build_mesh(n, n)
     op = ImplicitDiffusionOperator(m, 1.0, 0.25)
-    assert 8.0 * op.dt * op.d / m.h ** 2 > diffusion.DIRECT_MIN_RHO
     assert diffusion.solve_path(op) == path
     x = np.random.default_rng(n).uniform(0.0, 1.0, m.n_cells)
     got = solve(op, apply(op, CellField(m, x))).values
     assert np.linalg.norm(got - x) <= 2e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [37, 128, 257])
+def test_solve_known_solution_near_identity(n):
+    # rho = 8 dt d / h^2 from just above the series' reach up to 4, where the
+    # cosine paths once took a residual form; the direct form erred by at
+    # most 4.9e-16 over 6 x
+    m = build_mesh(n, n)
+    rhos = (1.01 * 2.0 ** (-53 / 5), 1e-2, 1.0, 2.0, 4.0)
+    for rho in rhos:
+        op = _op_with_rho(m, rho)
+        for seed in range(6):
+            x = np.random.default_rng(seed).uniform(0.0, 1.0, m.n_cells)
+            b = apply(op, CellField(m, x))
+            for path in (_DCT, _FFT):
+                got = path(op, b).values
+                rel = np.linalg.norm(got - x) / np.linalg.norm(x)
+                assert rel <= 1e-15, (rho, seed, path, rel)
 
 
 def test_solve_workspace_does_not_leak_between_calls():
@@ -293,8 +310,9 @@ def test_solve_workspace_does_not_leak_between_calls():
 
 @pytest.mark.parametrize("nx, ny", [(128, 128), (127, 127), (37, 5)])
 def test_solve_near_identity_residual(nx, ny):
-    # at dt = h^2 the correction to rhs / h^2 is ~1e-4 of it; transforming
-    # rhs itself instead of its spectral residual leaves ~4e-15 here
+    # at dt = h^2 the correction to rhs / h^2 is ~1e-4 of it; the cosine
+    # paths transform rhs itself, less its mean, and left 2.1e-16 to
+    # 3.4e-16 here
     m = build_mesh(nx, ny)
     op = ImplicitDiffusionOperator(m, 1.6e-5, m.h ** 2)
     b = np.random.default_rng(nx * ny).uniform(0.0, 1.0, m.n_cells)
@@ -344,8 +362,8 @@ def test_solve_cached_arrays_read_only():
     for path in [solve] + _paths(op):
         path(op, full(m, 1.0))
     h2, c = m.h ** 2, op.dt * op.d
-    factors = [diffusion._factor(path, m.ny, m.nx, h2, c, direct)
-               for path in ("dct", "fft") for direct in (False, True)]
+    factors = [diffusion._factor(path, m.ny, m.nx, h2, c)
+               for path in ("dct", "fft")]
     dense = diffusion._plan(m.ny, m.nx).dense
     for arr in (*factors, dense.by, dense.bx, dense.bx_t,
                 diffusion._twiddles(m.nx)):
